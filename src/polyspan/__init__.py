@@ -18,6 +18,7 @@ from .algebra import (
     LawReport,
     Semiring,
     check_laws,
+    law_samples,
     values_close,
 )
 from .algorithms import (
@@ -81,7 +82,7 @@ __all__ = [
     "argument_pushforward", "bellman_ford", "bellman_ford_span", "bellman_ford_step",
     "build_arrow", "check_laws", "element_at", "eval_arrow", "finite_diff_check",
     "floyd_warshall", "floyd_warshall_span", "floyd_warshall_step",
-    "integral_transform", "load_span_file", "message_preimage_bags",
+    "integral_transform", "law_samples", "load_span_file", "message_preimage_bags",
     "message_pushforward", "mpnn_forward", "mpnn_span", "parse_carrier",
     "preimage", "pullback", "rank", "size", "v2_forward", "v3_forward", "v3_span",
     "validate_span", "values_close",

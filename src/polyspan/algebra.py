@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -292,6 +293,22 @@ class LawReport:
         bad = len(self.failed())
         out.append("  all laws hold" if bad == 0 else f"  {bad} law(s) failed")
         return out
+
+
+def law_samples(r: random.Random, kind: str, count: int) -> list[tuple]:
+    """``count`` random (a, b, c) triples of one value kind for
+    ``check_laws``.  Unreachable (tropical naturals) and minus infinity
+    (max-plus) each make up about 15% of their kind's draws."""
+    def value():
+        if kind == "tropical-nat":
+            return None if r.random() < 0.15 else r.randint(0, 100)
+        if kind == "boolean":
+            return r.random() < 0.5
+        if kind == "max-plus-real":
+            return float("-inf") if r.random() < 0.15 else r.uniform(-100.0, 100.0)
+        return r.uniform(-1000.0, 1000.0)
+
+    return [(value(), value(), value()) for _ in range(count)]
 
 
 def check_laws(s: Semiring, samples: Sequence[tuple]) -> LawReport:

@@ -14,12 +14,11 @@ plain re-implementations used only to cross-check the span engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .algebra import MIN_PLUS, Value, tropical_add, tropical_min
-from .carrier import GraphContext, parse_carrier
+from .carrier import GraphContext
 from .errors import InputError
 from .span import DataMap, FoldStrategy, PolynomialSpan, integral_transform
 
@@ -67,16 +66,6 @@ def floyd_warshall_span(n: int) -> PolynomialSpan:
     return PolynomialSpan.from_spec(FLOYD_WARSHALL_SPEC, GraphContext.fully_connected(n))
 
 
-@dataclass(frozen=True)
-class BellmanFordState:
-    """Inputs to one relaxation sweep: distances and bias per node,
-    a weight per edge.  All tables are width 1."""
-
-    distances: DataMap
-    bias: DataMap
-    weights: DataMap
-
-
 def check_tropical_weights(graph: GraphContext):
     """Weights must be non-negative integers or the unreachable sentinel."""
     for k, (_, _, w) in enumerate(graph.edges):
@@ -88,15 +77,15 @@ def check_tropical_weights(graph: GraphContext):
             raise InputError(f"edge {k}: negative weight {w}")
 
 
-def make_state(graph: GraphContext, distances: Sequence[Value]) -> BellmanFordState:
-    """Wrap a distance vector with the standard zero bias and the graph's weights."""
-    v = parse_carrier("V")
-    e = parse_carrier("E")
-    return BellmanFordState(
-        distances=DataMap(v, 1, tuple((d,) for d in distances)),
-        bias=DataMap.constant(v, graph, MIN_PLUS.one),
-        weights=DataMap(e, 1, tuple((w,) for (_, _, w) in graph.edges)),
-    )
+def make_state(graph: GraphContext, distances: Sequence[Value]) -> DataMap:
+    """The input table of one relaxation sweep: the distance vector, the
+    standard zero bias and the graph's weights, stacked on the span's
+    input carrier."""
+    return DataMap.from_term_blocks(bellman_ford_span(graph).inputs, graph, [
+        [(d,) for d in distances],
+        [(MIN_PLUS.one,)] * graph.n,
+        [(w,) for (_, _, w) in graph.edges],
+    ])
 
 
 def initial_distances(graph: GraphContext, source: int) -> list[Value]:
@@ -105,14 +94,9 @@ def initial_distances(graph: GraphContext, source: int) -> list[Value]:
     return [0 if u == source else None for u in range(graph.n)]
 
 
-def bellman_ford_step(graph: GraphContext, state: BellmanFordState) -> DataMap:
-    """One simultaneous relaxation of every node."""
-    span = bellman_ford_span(graph)
-    stacked = DataMap.from_term_blocks(
-        span.inputs, graph,
-        [state.distances.rows, state.bias.rows, state.weights.rows],
-    )
-    return integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), stacked)
+def bellman_ford_step(graph: GraphContext, state: DataMap) -> DataMap:
+    """One simultaneous relaxation of every node, on a table from make_state."""
+    return integral_transform(bellman_ford_span(graph), MIN_PLUS, FoldStrategy.semiring(), state)
 
 
 def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
@@ -172,11 +156,9 @@ def floyd_warshall(d0: Sequence[Sequence[Value]]) -> Matrix:
     d = tuple(tuple(row) for row in d0)
     cap = (n - 1).bit_length() + 1 if n >= 1 else 1
     for _ in range(cap):
-        step = floyd_warshall_step(d)
-        nxt = tuple(
-            tuple(tropical_min(d[i][j], step[i][j]) for j in range(n))
-            for i in range(n)
-        )
+        # The zero diagonal makes k = j a candidate for every entry, so a
+        # sweep never raises one: its result is already min(d, sweep).
+        nxt = floyd_warshall_step(d)
         if nxt == d:
             break
         d = nxt

@@ -46,6 +46,10 @@ from .algebra import Value
 
 SIZE_CAP = 10_000_000
 
+# Deepest bracket nesting a carrier or arrow expression may use; the
+# parsers and typecheckers recurse once per level.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class GraphContext:
@@ -185,6 +189,14 @@ def _tokenize(text: str, symbols: str):
             continue
         raise CarrierSyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(("END", None, len(text)))
+    depth = 0
+    for kind, _, pos in tokens:
+        if kind in ("(", "["):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise CarrierSyntaxError(f"brackets nest deeper than {MAX_NESTING} levels", pos)
+        elif kind in (")", "]"):
+            depth -= 1
     return tokens
 
 
@@ -413,12 +425,13 @@ class _Copair(_Node):
 
 
 @dataclass(frozen=True)
-class _Compose(_Node):
-    inner: _Node = None
-    outer: _Node = None
+class _Chain(_Node):
+    steps: tuple = ()  # applied first to last
 
     def eval(self, e, g):
-        return self.outer.eval(self.inner.eval(e, g), g)
+        for step in self.steps:
+            e = step.eval(e, g)
+        return e
 
 
 @dataclass(frozen=True)
@@ -544,15 +557,8 @@ def _synth(raw, dom: Carrier, label: str):
                 return None
             nodes.append(t)
             cur = t.cod
-        return _fold_chain(nodes)
+        return _Chain(nodes[0].dom, nodes[-1].cod, tuple(nodes))
     raise CarrierSyntaxError(f"unknown arrow form {head!r}", 0)
-
-
-def _fold_chain(nodes):
-    node = nodes[0]
-    for nxt in nodes[1:]:
-        node = _Compose(node.dom, nxt.cod, node, nxt)
-    return node
 
 
 def _check(raw, dom: Carrier, cod: Carrier, label: str):
@@ -594,7 +600,7 @@ def _check(raw, dom: Carrier, cod: Carrier, label: str):
             nodes.append(t)
             cur = t.cod
         nodes.append(_check(atoms[0], cur, cod, label))
-        return _fold_chain(nodes)
+        return _Chain(nodes[0].dom, nodes[-1].cod, tuple(nodes))
     t = _synth(raw, dom, label)
     if t.cod != cod:
         raise ArrowTypeError(f"{label}: {_render(raw)} maps {dom} to {t.cod}, expected {cod}")

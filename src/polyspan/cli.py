@@ -18,13 +18,14 @@ import argparse
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
 import numpy as np
 
 from . import algorithms, gnn
-from .algebra import SEMIRINGS, Semiring, check_laws
+from .algebra import SEMIRINGS, Semiring, check_laws, law_samples
 from .carrier import GraphContext
 from .errors import InputError, PolyspanError
 from .span import DataMap, FoldStrategy, PolynomialSpan, integral_transform, load_span_file
@@ -196,17 +197,9 @@ def _cmd_run_span(ns) -> tuple[str, int]:
     return "".join(" ".join(format_value(v) for v in row) + "\n" for row in out.rows), 0
 
 
-def _law_triples(kind: str, seed: int, count: int = 1000):
-    import random
-
-    from .verify import _law_samples
-
-    return _law_samples(random.Random(seed), kind, count)
-
-
 def _cmd_check_laws(ns) -> tuple[str, int]:
     s = SEMIRINGS[ns.semiring]
-    report = check_laws(s, _law_triples(s.value_kind, ns.seed))
+    report = check_laws(s, law_samples(random.Random(ns.seed), s.value_kind, 1000))
     return "".join(line + "\n" for line in report.lines()), 0
 
 

@@ -318,17 +318,15 @@ def _mlp_fold(mlp: MLP) -> Callable:
     return fold
 
 
-def _aggregate(span: PolynomialSpan, messages: DataMap, cfg: LayerConfig) -> DataMap:
+def _aggregate(span: PolynomialSpan, messages: DataMap, cfg: LayerConfig) -> tuple:
+    """Per output, the reduced message row; under max an output with no
+    messages takes the floor row."""
     if cfg.aggregator == "sum":
-        return message_pushforward(span, REAL, messages)
+        return message_pushforward(span, REAL, messages).rows
     agg = message_pushforward(span, MAX_PLUS, messages)
-    tables = span.compiled()
     floor_row = (float(cfg.empty_floor),) * agg.width
-    rows = list(agg.rows)
-    for z, bucket in enumerate(tables.buckets):
-        if not bucket:
-            rows[z] = floor_row
-    return DataMap(agg.carrier, agg.width, tuple(rows))
+    return tuple(row if bucket else floor_row
+                 for row, bucket in zip(agg.rows, span.compiled().buckets))
 
 
 def _readout(mlp: MLP, feats, agg_rows) -> tuple:
@@ -360,7 +358,7 @@ def _mpnn_parts(graph: GraphContext, node_feats, edge_feats, graph_feat,
     strategy = FoldStrategy.learned({4: _mlp_fold(params.message)}, width=cfg.msg_width)
     messages = argument_pushforward(span, REAL, strategy, pulled)
     agg = _aggregate(span, messages, cfg)
-    node_out = _readout(params.node_readout, node_feats, agg.rows)
+    node_out = _readout(params.node_readout, node_feats, agg)
     v = parse_carrier("V")
     return messages, DataMap(v, cfg.node_width, node_out)
 
@@ -460,10 +458,8 @@ def v3_forward(graph: GraphContext, node_feats, edge_feats, graph_feat,
     }, width=cfg.msg_width)
     messages = argument_pushforward(span, REAL, strategy, pulled)
     agg = _aggregate(span, messages, cfg)
-    node_agg = agg.rows[:n]
-    pair_agg = agg.rows[n:]
-    node_out = _readout(params.node_readout, node_feats, node_agg)
-    edge_out = _readout(params.edge_readout, edge_feats, pair_agg)
+    node_out = _readout(params.node_readout, node_feats, agg[:n])
+    edge_out = _readout(params.edge_readout, edge_feats, agg[n:])
     return (
         DataMap(parse_carrier("V"), cfg.node_width, node_out),
         DataMap(parse_carrier("V^2"), cfg.edge_width, edge_out),

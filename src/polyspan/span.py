@@ -28,10 +28,11 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .algebra import Bag, Semiring, Value
+from .algebra import Bag, Semiring
 from .carrier import (
     Arrow,
     Carrier,
+    CarrierIndex,
     GraphContext,
     build_arrow,
     carrier_index,
@@ -67,22 +68,9 @@ class DataMap:
                 )
 
     @classmethod
-    def from_rows(cls, carrier: Carrier, rows: Sequence[Sequence[Value]], width: int | None = None) -> "DataMap":
-        rows = tuple(tuple(r) for r in rows)
-        if width is None:
-            if not rows:
-                raise CarrierMismatchError("cannot infer width from an empty table")
-            width = len(rows[0])
-        return cls(carrier, width, rows)
-
-    @classmethod
-    def constant(cls, carrier: Carrier, graph: GraphContext, value: Value, width: int = 1) -> "DataMap":
-        count = carrier_index(carrier, graph).size
-        return cls(carrier, width, ((value,) * width,) * count)
-
-    @classmethod
     def from_term_blocks(cls, carrier: Carrier, graph: GraphContext, blocks: Sequence[Sequence[Row]]) -> "DataMap":
-        """Assemble a table from one row block per carrier term, in order."""
+        """Assemble a table from one row block per carrier term, in order;
+        the width is that of the first row."""
         idx = carrier_index(carrier, graph)
         if len(blocks) != len(carrier.terms):
             raise CarrierMismatchError(
@@ -95,22 +83,22 @@ class DataMap:
                     f"term {t + 1} of {carrier.text()} has {idx.term_sizes[t]} element(s), "
                     f"block has {len(block)} row(s)"
                 )
-            rows.extend(tuple(r) for r in block)
-        return cls.from_rows(carrier, rows)
+            rows.extend(block)
+        if not rows:
+            raise CarrierMismatchError("cannot infer width from an empty table")
+        return cls(carrier, len(rows[0]), rows)
 
-    def term_block(self, graph: GraphContext, term: int) -> tuple:
-        """The rows belonging to one term of the carrier."""
-        idx = carrier_index(self.carrier, self.graph_check(graph))
-        start = idx.offsets[term]
-        return self.rows[start:start + idx.term_sizes[term]]
-
-    def graph_check(self, graph: GraphContext) -> GraphContext:
-        if len(self.rows) != carrier_index(self.carrier, graph).size:
-            raise CarrierMismatchError(
-                f"table has {len(self.rows)} rows but {self.carrier.text()} has "
-                f"{carrier_index(self.carrier, graph).size} elements on this graph"
-            )
-        return graph
+    @classmethod
+    def _built(cls, carrier: Carrier, width: int, rows: tuple) -> "DataMap":
+        """A stage output whose rows the stage made ``width`` wide: only
+        the width itself is checked, not every row."""
+        if width < 1:
+            raise CarrierMismatchError(f"width must be >= 1, got {width}")
+        data = object.__new__(cls)
+        object.__setattr__(data, "carrier", carrier)
+        object.__setattr__(data, "width", width)
+        object.__setattr__(data, "rows", rows)
+        return data
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,26 +253,49 @@ def load_span_file(path) -> dict:
     return spec
 
 
-def _require_on(data: DataMap, carrier: Carrier, span: PolynomialSpan, stage: str):
-    if data.carrier != carrier:
+def _require_on(data: DataMap, index: CarrierIndex, stage: str):
+    """The table must lie on the indexed carrier, one row per element."""
+    if data.carrier != index.carrier:
         raise CarrierMismatchError(
-            f"{stage}: table is on {data.carrier.text()}, expected {carrier.text()}"
+            f"{stage}: table is on {data.carrier.text()}, expected {index.carrier.text()}"
         )
-    data.graph_check(span.graph)
+    if len(data.rows) != index.size:
+        raise CarrierMismatchError(
+            f"table has {len(data.rows)} rows but {index.carrier.text()} has "
+            f"{index.size} elements on this graph"
+        )
+
+
+def _fold_groups(rows, groups, op, identity, width: int) -> tuple:
+    """Combine the rows of each group of row indices componentwise with
+    ``op``, left to right; an empty group yields the all-identity row."""
+    empty = (identity,) * width
+    out = []
+    for group in groups:
+        if not group:
+            out.append(empty)
+            continue
+        acc = list(rows[group[0]])
+        for i in group[1:]:
+            r = rows[i]
+            for c in range(width):
+                acc[c] = op(acc[c], r[c])
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def pullback(span: PolynomialSpan, inputs: DataMap) -> DataMap:
     """Copy each argument's input row across the input map."""
     t = span.compiled()
-    _require_on(inputs, span.inputs, span, "pullback")
+    _require_on(inputs, t.wi, "pullback")
     rows = inputs.rows
-    return DataMap(span.arguments, inputs.width, tuple(rows[w] for w in t.input_image))
+    return DataMap._built(span.arguments, inputs.width, tuple(rows[w] for w in t.input_image))
 
 
 def argument_fiber_rows(span: PolynomialSpan, arguments: DataMap) -> list[tuple]:
     """Per message, the ordered tuple of argument rows in its process fiber."""
     t = span.compiled()
-    _require_on(arguments, span.arguments, span, "argument fibers")
+    _require_on(arguments, t.xi, "argument fibers")
     rows = arguments.rows
     return [tuple(rows[x] for x in fiber) for fiber in t.fibers]
 
@@ -293,24 +304,12 @@ def argument_pushforward(span: PolynomialSpan, s: Semiring, strategy: FoldStrate
                          arguments: DataMap) -> DataMap:
     """Fold each ordered process fiber into one message row."""
     t = span.compiled()
-    _require_on(arguments, span.arguments, span, "argument pushforward")
+    _require_on(arguments, t.xi, "argument pushforward")
     rows = arguments.rows
     if strategy.kind == "semiring":
-        times = s.times
-        one = s.one
         width = arguments.width
-        out = []
-        for fiber in t.fibers:
-            if not fiber:
-                out.append((one,) * width)
-                continue
-            acc = list(rows[fiber[0]])
-            for x in fiber[1:]:
-                r = rows[x]
-                for c in range(width):
-                    acc[c] = times(acc[c], r[c])
-            out.append(tuple(acc))
-        return DataMap(span.messages, width, tuple(out))
+        return DataMap._built(span.messages, width,
+                              _fold_groups(rows, t.fibers, s.times, s.one, width))
     if strategy.kind == "learned":
         folds = strategy.folds or {}
         out = []
@@ -329,7 +328,7 @@ def argument_pushforward(span: PolynomialSpan, s: Semiring, strategy: FoldStrate
             out.append(row)
         if width is None:
             raise StrategyError("no messages to fold; cannot infer output width")
-        return DataMap(span.messages, width, tuple(out))
+        return DataMap._built(span.messages, width, tuple(out))
     raise StrategyError(f"unknown fold strategy {strategy.kind!r}")
 
 
@@ -337,7 +336,7 @@ def message_preimage_bags(span: PolynomialSpan, messages: DataMap,
                           hook: Callable[[Row], Row] | None = None) -> list[Bag]:
     """Per output, the unordered multiset of (hooked) message rows landing on it."""
     t = span.compiled()
-    _require_on(messages, span.messages, span, "message preimages")
+    _require_on(messages, t.yi, "message preimages")
     rows = messages.rows
     if hook is not None:
         rows = tuple(tuple(hook(r)) for r in rows)
@@ -352,7 +351,7 @@ def message_pushforward(span: PolynomialSpan, s: Semiring, messages: DataMap,
     preimages yield the all-zero row (the reduce identity).
     """
     t = span.compiled()
-    _require_on(messages, span.messages, span, "message pushforward")
+    _require_on(messages, t.yi, "message pushforward")
     rows = messages.rows
     if hook is not None:
         rows = tuple(tuple(hook(r)) for r in rows)
@@ -360,20 +359,8 @@ def message_pushforward(span: PolynomialSpan, s: Semiring, messages: DataMap,
         if len(widths) > 1:
             raise StrategyError("hook produced rows of differing widths")
     width = len(rows[0]) if rows else messages.width
-    plus = s.plus
-    zero = s.zero
-    out = []
-    for bucket in t.buckets:
-        if not bucket:
-            out.append((zero,) * width)
-            continue
-        acc = list(rows[bucket[0]])
-        for y in bucket[1:]:
-            r = rows[y]
-            for c in range(width):
-                acc[c] = plus(acc[c], r[c])
-        out.append(tuple(acc))
-    return DataMap(span.outputs, width, tuple(out))
+    return DataMap._built(span.outputs, width,
+                          _fold_groups(rows, t.buckets, s.plus, s.zero, width))
 
 
 def integral_transform(span: PolynomialSpan, s: Semiring, strategy: FoldStrategy,

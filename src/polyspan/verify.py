@@ -25,6 +25,7 @@ from .algebra import (
     fold_list,
     join_bag,
     join_list,
+    law_samples,
     map_bag,
     map_list,
     reduce_bag,
@@ -154,19 +155,6 @@ def check_relaxation_formula(seed: int = 0, cases: int = 50) -> CheckResult:
     )
 
 
-def _law_samples(r: random.Random, kind: str, count: int) -> list[tuple]:
-    def value():
-        if kind == "tropical-nat":
-            return None if r.random() < 0.15 else r.randint(0, 100)
-        if kind == "boolean":
-            return r.random() < 0.5
-        if kind == "max-plus-real":
-            return float("-inf") if r.random() < 0.15 else r.uniform(-100.0, 100.0)
-        return r.uniform(-1000.0, 1000.0)
-
-    return [(value(), value(), value()) for _ in range(count)]
-
-
 def _random_bag(r: random.Random, depth: int, max_size: int = 6) -> Bag:
     if depth == 0:
         return Bag(r.randint(0, 9) for _ in range(r.randint(0, max_size)))
@@ -231,10 +219,10 @@ def check_algebra_laws(seed: int = 0, samples: int = 1000) -> CheckResult:
     r = random.Random(seed)
     problems = []
     for s in (MIN_PLUS, REAL, MAX_PLUS, BOOLEAN):
-        report = check_laws(s, _law_samples(r, s.value_kind, samples))
+        report = check_laws(s, law_samples(r, s.value_kind, samples))
         if not report.ok:
             problems.append(f"{s.name} failed {', '.join(report.failed())}")
-    broken = check_laws(broken_semiring(), _law_samples(r, "real", samples))
+    broken = check_laws(broken_semiring(), law_samples(r, "real", samples))
     if "plus-associative" not in broken.failed():
         problems.append("broken instance was not caught by the associativity law")
     problems.extend(_monad_properties(r))
@@ -386,10 +374,7 @@ def check_span_properties(seed: int = 0) -> CheckResult:
         g = random_graph(r, max_n=8, max_m=16)
         source = r.randrange(g.n)
         span = algorithms.bellman_ford_span(g)
-        state = algorithms.make_state(g, algorithms.initial_distances(g, source))
-        stacked = DataMap.from_term_blocks(
-            span.inputs, g, [state.distances.rows, state.bias.rows, state.weights.rows]
-        )
+        stacked = algorithms.make_state(g, algorithms.initial_distances(g, source))
         strategy = FoldStrategy.semiring()
         staged = message_pushforward(
             span, MIN_PLUS,

@@ -148,6 +148,25 @@ class TestFloydWarshall:
             )
             assert floyd_warshall(d) == oracle_floyd_warshall(d)
 
+    def test_step_never_raises_an_entry(self):
+        # floyd_warshall uses each sweep as the next matrix without a
+        # min against the previous one; the zero diagonal makes that exact.
+        r = random.Random(32)
+        for _ in range(40):
+            n = r.randrange(1, 8)
+            d = tuple(
+                tuple(
+                    0 if i == j else (None if r.random() < 0.4 else r.randrange(0, 15))
+                    for j in range(n)
+                )
+                for i in range(n)
+            )
+            step = floyd_warshall_step(d)
+            for i in range(n):
+                assert step[i][i] == 0
+                for j in range(n):
+                    assert d[i][j] is None or (step[i][j] is not None and step[i][j] <= d[i][j])
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InputError):
             floyd_warshall(((0, 1), (1, 1)))

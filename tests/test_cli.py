@@ -6,6 +6,7 @@ import json
 import pytest
 
 from polyspan import InputError
+from polyspan.carrier import MAX_NESTING
 from polyspan.cli import deterministic_outputs, format_value, load_graph, run
 
 G1_TEXT = "3 3 directed\n0 1 2\n0 2 7\n1 2 3\n"
@@ -170,6 +171,45 @@ class TestExitCodes:
     def test_source_out_of_range_is_input_error(self, g1_file):
         code, out, err = invoke(["bellman-ford", "--graph", g1_file, "--source", "9"])
         assert code == 2
+
+
+class TestDeepExpressions:
+    @pytest.fixture
+    def span_with(self, fixtures_dir, tmp_path):
+        """Write the Bellman-Ford span file with some keys replaced."""
+        def write(**overrides):
+            spec = json.loads((fixtures_dir / "bellman_ford.span").read_text())
+            path = tmp_path / "deep.span"
+            path.write_text(json.dumps(dict(spec, **overrides)))
+            return str(path)
+        return write
+
+    def test_deeply_nested_carrier_is_input_error(self, g1_file, span_with):
+        span_file = span_with(Z="(" * 340 + "V" + ")" * 340)
+        code, out, err = invoke(["run-span", "--graph", g1_file, "--span", span_file])
+        assert code == 2 and "nest" in err and "Traceback" not in err
+
+    def test_deeply_nested_arrow_is_input_error(self, g1_file, span_with):
+        span_file = span_with(o="[id; " + "([" * 250 + "tgt" + "])" * 250 + "]")
+        code, out, err = invoke(["run-span", "--graph", g1_file, "--span", span_file])
+        assert code == 2 and "nest" in err and "Traceback" not in err
+
+    def test_nesting_at_the_limit_parses(self, g1_file, span_with):
+        deep = MAX_NESTING - 1  # inside the dispatch's own bracket
+        for span_file in (
+            span_with(Z="(" * MAX_NESTING + "V" + ")" * MAX_NESTING),
+            span_with(o="[id; " + "(" * deep + "tgt" + ")" * deep + "]"),
+        ):
+            code, out, err = invoke(["run-span", "--graph", g1_file, "--span", span_file])
+            assert (code, err) == (0, "")
+
+    def test_long_id_chain_equals_id(self, g1_file, span_with):
+        argv = ["run-span", "--graph", g1_file, "--source", "0", "--span"]
+        chain = ".".join(["id"] * 3000)
+        plain = invoke(argv + [span_with(o="[id; tgt]")])
+        long = invoke(argv + [span_with(o=f"[{chain}; {chain}.tgt]")])
+        assert plain == (0, "0\n2\n7\n", "")
+        assert long == plain
 
 
 class TestVerifyVerb:

@@ -60,21 +60,12 @@ class TestDataMap:
         with pytest.raises(CarrierMismatchError):
             DataMap.from_term_blocks(parse_carrier("V + E"), g1, [[(1,)] * 2, [(1,)] * 3])
 
-    def test_term_block_slicing(self, g1):
-        d = bf_inputs(g1)
-        assert d.term_block(g1, 0) == ((0,), (None,), (None,))
-        assert d.term_block(g1, 2) == ((2,), (7,), (3,))
-
-    def test_constant(self, g1):
-        d = DataMap.constant(parse_carrier("E"), g1, 0.5, width=2)
-        assert d.rows == ((0.5, 0.5),) * 3
-
 
 class TestConstruction:
     def test_identity_span_roundtrip(self, g1):
         span = PolynomialSpan.from_spec(IDENTITY_SPEC, g1)
         assert validate_span(span).ok
-        table = DataMap.from_rows(parse_carrier("V"), [(1,), (2,), (3,)])
+        table = DataMap(parse_carrier("V"), 1, ((1,), (2,), (3,)))
         out = integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), table)
         assert out.rows == ((1,), (2,), (3,))
 
@@ -185,7 +176,7 @@ class TestEdgeShapes:
         g = GraphContext(2, ())
         spec = {"W": "E", "X": "E", "Y": "E", "Z": "V", "i": "id", "p": "id", "o": "tgt"}
         span = PolynomialSpan.from_spec(spec, g)
-        table = DataMap.from_rows(parse_carrier("E"), [], width=1)
+        table = DataMap(parse_carrier("E"), 1, ())
         out = integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), table)
         assert out.rows == ((None,), (None,))
 
@@ -197,7 +188,7 @@ class TestEdgeShapes:
         g = GraphContext(1, ())
         spec = {"W": "E", "X": "E", "Y": "1", "Z": "1", "i": "id", "p": "bang", "o": "id"}
         span = PolynomialSpan.from_spec(spec, g)
-        table = DataMap.from_rows(parse_carrier("E"), [], width=1)
+        table = DataMap(parse_carrier("E"), 1, ())
         msgs = argument_pushforward(span, MIN_PLUS, FoldStrategy.semiring(),
                                     pullback(span, table))
         assert msgs.rows == ((0,),)  # empty product is one
@@ -213,16 +204,33 @@ class TestEdgeShapes:
         g = GraphContext(2, ())
         spec = {"W": "E", "X": "E", "Y": "E", "Z": "V", "i": "id", "p": "id", "o": "tgt"}
         span = PolynomialSpan.from_spec(spec, g)
-        table = DataMap.from_rows(parse_carrier("E"), [], width=1)
+        table = DataMap(parse_carrier("E"), 1, ())
         strategy = FoldStrategy.learned({}, width=3)
         msgs = argument_pushforward(span, REAL, strategy, pullback(span, table))
         assert msgs.width == 3 and msgs.rows == ()
 
+    def test_learned_fold_of_empty_rows_rejected(self, g1):
+        # A fold that returns no columns would make a width-0 table.
+        span = bf_span(g1)
+        strategy = FoldStrategy.learned({2: lambda rows: ()})
+        with pytest.raises(CarrierMismatchError):
+            argument_pushforward(span, REAL, strategy, pullback(span, bf_inputs(g1)))
+
+    def test_hook_of_empty_rows_rejected(self, g1):
+        span = bf_span(g1)
+        msgs = argument_pushforward(span, MIN_PLUS, FoldStrategy.semiring(),
+                                    pullback(span, bf_inputs(g1)))
+        with pytest.raises(CarrierMismatchError):
+            message_pushforward(span, MIN_PLUS, msgs, hook=lambda row: ())
+
     def test_mismatched_table_rejected(self, g1):
         span = bf_span(g1)
-        wrong = DataMap.from_rows(parse_carrier("V"), [(0,), (0,), (0,)])
+        wrong = DataMap(parse_carrier("V"), 1, ((0,), (0,), (0,)))
         with pytest.raises(CarrierMismatchError):
             pullback(span, wrong)
+        short = DataMap(span.inputs, 1, ((0,),) * 8)  # V + (V + E) has 9 elements
+        with pytest.raises(CarrierMismatchError):
+            pullback(span, short)
 
     def test_unvalidated_span_refuses_to_run(self, g1):
         spec = dict(IDENTITY_SPEC, o="tgt")  # o: V -> V cannot be tgt
