@@ -106,12 +106,16 @@ def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
     """
     check_tropical_weights(graph)
     dist = initial_distances(graph, source)
+    state = make_state(graph, dist)
+    bias_and_weights = state.rows[graph.n:]
     for _ in range(max(graph.n - 1, 0)):
-        out = bellman_ford_step(graph, make_state(graph, dist))
+        out = bellman_ford_step(graph, state)
         nxt = [r[0] for r in out.rows]
         if nxt == dist:
             break
         dist = nxt
+        # A sweep's output rows are exactly the next distance block.
+        state = DataMap._built(state.carrier, 1, out.rows + bias_and_weights)
     return dist
 
 

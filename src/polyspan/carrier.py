@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
+from operator import mul
 from typing import Mapping
 
 from .errors import (
@@ -47,8 +49,12 @@ from .algebra import Value
 SIZE_CAP = 10_000_000
 
 # Deepest bracket nesting a carrier or arrow expression may use; the
-# parsers and typecheckers recurse once per level.
+# parsers and the typechecker recurse once per level.
 MAX_NESTING = 100
+
+# Largest exponent of V^k.  Above it 2^k passes SIZE_CAP, so V^k is over
+# the cap on any graph with n >= 2, and no k-tuple need be built to say so.
+MAX_EXPONENT = SIZE_CAP.bit_length()
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,11 @@ def _tokenize(text: str, symbols: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past Python's digit limit for int()
+                raise CarrierSyntaxError("integer literal is too long", i) from None
+            tokens.append(("INT", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -260,6 +270,8 @@ def _parse_factor(p: _Parser) -> Carrier:
                 k_kind, k, k_pos = p.advance()
                 if k_kind != "INT" or k < 1:
                     raise CarrierSyntaxError("exponent must be an integer >= 1", k_pos)
+                if k > MAX_EXPONENT:
+                    raise CarrierSyntaxError(f"exponent {k} is over {MAX_EXPONENT}, past the size cap", k_pos)
                 return Carrier((("V",) * k,))
             return CARRIER_V
         if value == "E":
@@ -370,73 +382,86 @@ def _single_term(carrier: Carrier, index: int) -> Carrier:
 
 @dataclass(frozen=True)
 class _Node:
+    """A typed arrow; entry x of ``ranks(g)`` is the codomain rank of the
+    domain element of rank x."""
+
     dom: Carrier
     cod: Carrier
 
 
 @dataclass(frozen=True)
 class _Id(_Node):
-    def eval(self, e, g):
-        return e
+    def ranks(self, g):
+        return range(CarrierIndex(self.dom, g).size)
 
 
 @dataclass(frozen=True)
 class _Bang(_Node):
-    def eval(self, e, g):
-        return Element(0, ())
+    def ranks(self, g):
+        return [0] * CarrierIndex(self.dom, g).size
 
 
 @dataclass(frozen=True)
-class _Src(_Node):
-    def eval(self, e, g):
-        return Element(0, (g.source(e.coords[0]),))
+class _Endpoint(_Node):
+    column: int = 0  # 0 reads each edge's source, 1 its target
 
-
-@dataclass(frozen=True)
-class _Tgt(_Node):
-    def eval(self, e, g):
-        return Element(0, (g.target(e.coords[0]),))
+    def ranks(self, g):
+        return [e[self.column] for e in g.edges]
 
 
 @dataclass(frozen=True)
 class _Proj(_Node):
     indices: tuple = ()
 
-    def eval(self, e, g):
-        coords = e.coords
-        return Element(0, tuple(coords[i - 1] for i in self.indices))
+    def ranks(self, g):
+        dims = CarrierIndex(self.dom, g).term_dims[0]
+        # The codomain rank is linear in the domain coordinates: each
+        # factor weighs the strides of the output slots that select it.
+        weights = [0] * len(dims)
+        stride = 1
+        for i in reversed(self.indices):
+            weights[i - 1] += stride
+            stride *= dims[i - 1]
+        return [sum(map(mul, coords, weights)) for coords in product(*map(range, dims))]
 
 
 @dataclass(frozen=True)
 class _Inj(_Node):
     index: int = 1
 
-    def eval(self, e, g):
-        return Element(self.index - 1, e.coords)
+    def ranks(self, g):
+        offset = CarrierIndex(self.cod, g).offsets[self.index - 1]
+        return range(offset, offset + CarrierIndex(self.dom, g).size)
 
 
 @dataclass(frozen=True)
 class _Copair(_Node):
     branches: tuple = ()
 
-    def eval(self, e, g):
-        branch = self.branches[e.term_index]
-        return branch.eval(Element(0, e.coords), g)
+    def ranks(self, g):
+        # Branch k's domain is term k alone, so the branch maps stack in
+        # the domain's term-major order.
+        out = []
+        for branch in self.branches:
+            out.extend(branch.ranks(g))
+        return out
 
 
 @dataclass(frozen=True)
 class _Chain(_Node):
     steps: tuple = ()  # applied first to last
 
-    def eval(self, e, g):
-        for step in self.steps:
-            e = step.eval(e, g)
-        return e
+    def ranks(self, g):
+        out = self.steps[0].ranks(g)
+        for step in self.steps[1:]:
+            table = step.ranks(g)
+            out = [table[r] for r in out]
+        return out
 
 
 @dataclass(frozen=True)
 class Arrow:
-    """A typed map between carriers, ready to evaluate on elements."""
+    """A typed map between carriers; ``node.ranks(graph)`` is its rank map."""
 
     domain: Carrier
     codomain: Carrier
@@ -503,67 +528,14 @@ def _render(raw) -> str:
     return repr(raw)
 
 
-def _synth(raw, dom: Carrier, label: str):
-    """Typed node for raw with known domain, or None if the codomain
-    cannot be inferred (inj needs checking context)."""
-    head = raw[0]
-    if head == "id":
-        return _Id(dom, dom)
-    if head == "bang":
-        return _Bang(dom, CARRIER_ONE)
-    if head in ("src", "tgt"):
-        if dom != CARRIER_E:
-            raise ArrowTypeError(f"{label}: {head} needs domain E, got {dom}")
-        cls = _Src if head == "src" else _Tgt
-        return cls(dom, CARRIER_V)
-    if head == "proj":
-        idx = raw[1]
-        if len(dom.terms) != 1:
-            raise ArrowTypeError(f"{label}: proj needs a single-term domain, got {dom}")
-        factors = dom.terms[0]
-        for i in idx:
-            if not (1 <= i <= len(factors)):
-                raise ArrowTypeError(
-                    f"{label}: proj index {i} out of range for a term with {len(factors)} factor(s)"
-                )
-        cod = Carrier((tuple(factors[i - 1] for i in idx),))
-        return _Proj(dom, cod, idx)
-    if head == "inj":
-        return None
-    if head == "copair":
-        branches = raw[1]
-        if len(branches) != len(dom.terms):
-            raise ArrowTypeError(
-                f"{label}: dispatch has {len(branches)} branch(es) but the domain {dom} has "
-                f"{len(dom.terms)} term(s)"
-            )
-        typed = []
-        for k, b in enumerate(branches):
-            t = _synth(b, _single_term(dom, k), f"{label}: branch {k + 1}")
-            if t is None:
-                return None
-            typed.append(t)
-        cods = {t.cod for t in typed}
-        if len(cods) != 1:
-            raise ArrowTypeError(f"{label}: dispatch branches disagree on the codomain")
-        return _Copair(dom, typed[0].cod, tuple(typed))
-    if head == "chain":
-        atoms = raw[1]
-        cur = dom
-        nodes = []
-        for a in reversed(atoms):
-            t = _synth(a, cur, label)
-            if t is None:
-                return None
-            nodes.append(t)
-            cur = t.cod
-        return _Chain(nodes[0].dom, nodes[-1].cod, tuple(nodes))
-    raise CarrierSyntaxError(f"unknown arrow form {head!r}", 0)
-
-
-def _check(raw, dom: Carrier, cod: Carrier, label: str):
+def _type(raw, dom: Carrier, cod: Carrier | None, label: str):
+    """Typed node for raw on the domain dom, mapping into cod.  With cod
+    None the codomain is inferred, and the result is None where an inj
+    has no known codomain; with cod given it is never None."""
     head = raw[0]
     if head == "inj":
+        if cod is None:
+            return None
         j = raw[1]
         if not (1 <= j <= len(cod.terms)):
             raise ArrowTypeError(f"{label}: inj[{j}] out of range, codomain {cod} has {len(cod.terms)} term(s)")
@@ -581,28 +553,53 @@ def _check(raw, dom: Carrier, cod: Carrier, label: str):
                 f"{label}: dispatch has {len(branches)} branch(es) but the domain {dom} has "
                 f"{len(dom.terms)} term(s)"
             )
-        typed = tuple(
-            _check(b, _single_term(dom, k), cod, f"{label}: branch {k + 1}")
-            for k, b in enumerate(branches)
-        )
-        return _Copair(dom, cod, typed)
+        typed = []
+        for k, b in enumerate(branches):
+            t = _type(b, _single_term(dom, k), cod, f"{label}: branch {k + 1}")
+            if t is None:
+                return None
+            typed.append(t)
+        if len({t.cod for t in typed}) != 1:
+            raise ArrowTypeError(f"{label}: dispatch branches disagree on the codomain")
+        return _Copair(dom, typed[0].cod, tuple(typed))
     if head == "chain":
         atoms = raw[1]
         cur = dom
         nodes = []
-        for a in reversed(atoms[1:]):
-            t = _synth(a, cur, label)
+        for k in range(len(atoms) - 1, -1, -1):  # only the leftmost atom maps into cod
+            t = _type(atoms[k], cur, None if k else cod, label)
             if t is None:
+                if cod is None:
+                    return None
                 raise ArrowTypeError(
-                    f"{label}: cannot infer the target of {_render(a)} inside a composition; "
+                    f"{label}: cannot infer the target of {_render(atoms[k])} inside a composition; "
                     "move it leftmost or wrap it in a dispatch"
                 )
             nodes.append(t)
             cur = t.cod
-        nodes.append(_check(atoms[0], cur, cod, label))
-        return _Chain(nodes[0].dom, nodes[-1].cod, tuple(nodes))
-    t = _synth(raw, dom, label)
-    if t.cod != cod:
+        return _Chain(dom, cur, tuple(nodes))
+    if head == "id":
+        t = _Id(dom, dom)
+    elif head == "bang":
+        t = _Bang(dom, CARRIER_ONE)
+    elif head in ("src", "tgt"):
+        if dom != CARRIER_E:
+            raise ArrowTypeError(f"{label}: {head} needs domain E, got {dom}")
+        t = _Endpoint(dom, CARRIER_V, 0 if head == "src" else 1)
+    elif head == "proj":
+        idx = raw[1]
+        if len(dom.terms) != 1:
+            raise ArrowTypeError(f"{label}: proj needs a single-term domain, got {dom}")
+        factors = dom.terms[0]
+        for i in idx:
+            if not (1 <= i <= len(factors)):
+                raise ArrowTypeError(
+                    f"{label}: proj index {i} out of range for a term with {len(factors)} factor(s)"
+                )
+        t = _Proj(dom, Carrier((tuple(factors[i - 1] for i in idx),)), idx)
+    else:
+        raise CarrierSyntaxError(f"unknown arrow form {head!r}", 0)
+    if cod is not None and t.cod != cod:
         raise ArrowTypeError(f"{label}: {_render(raw)} maps {dom} to {t.cod}, expected {cod}")
     return t
 
@@ -617,29 +614,22 @@ def build_arrow(spec: str, domain: Carrier, codomain: Carrier, graph: GraphConte
     tok = p.peek()
     if tok[0] != "END":
         raise CarrierSyntaxError(f"unexpected trailing {tok[1]!r}", tok[2])
-    node = _check(raw, domain, codomain, label)
+    node = _type(raw, domain, codomain, label)
     return Arrow(domain, codomain, node, spec)
 
 
-def _check_element(carrier: Carrier, graph: GraphContext, e: Element, what: str):
-    idx = carrier_index(carrier, graph)
-    idx.rank(e)  # raises CarrierMismatchError on any mismatch
-
-
 def eval_arrow(arrow: Arrow, e: Element, graph: GraphContext) -> Element:
-    """Apply the arrow to one element of its domain."""
-    _check_element(arrow.domain, graph, e, "argument")
-    return arrow.node.eval(e, graph)
+    """Apply the arrow to one element of its domain.
+
+    This builds the arrow's whole rank map, one pass over its domain,
+    to read one entry; the engine, the CLI and the benchmark never call it.
+    """
+    x = carrier_index(arrow.domain, graph).rank(e)  # raises CarrierMismatchError on a foreign element
+    return carrier_index(arrow.codomain, graph).element(arrow.node.ranks(graph)[x])
 
 
 def preimage(arrow: Arrow, e: Element, graph: GraphContext) -> list[Element]:
     """All domain elements mapping to e, in ascending canonical rank."""
-    _check_element(arrow.codomain, graph, e, "target")
-    idx = carrier_index(arrow.domain, graph)
-    node = arrow.node
-    out = []
-    for i in range(idx.size):
-        x = idx.element(i)
-        if node.eval(x, graph) == e:
-            out.append(x)
-    return out
+    y = carrier_index(arrow.codomain, graph).rank(e)
+    dom = carrier_index(arrow.domain, graph)
+    return [dom.element(x) for x, r in enumerate(arrow.node.ranks(graph)) if r == y]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algorithms, gnn
 from .algebra import SEMIRINGS, Semiring, check_laws, law_samples
-from .carrier import GraphContext
+from .carrier import SIZE_CAP, GraphContext
 from .errors import InputError, PolyspanError
 from .span import DataMap, FoldStrategy, PolynomialSpan, integral_transform, load_span_file
 
@@ -63,6 +63,8 @@ def load_graph(path) -> GraphContext:
         raise InputError(f"{path}:{header_no}: mode must be 'directed' or 'full', got {mode!r}")
     if n < 0 or m < 0:
         raise InputError(f"{path}:{header_no}: counts must be non-negative")
+    if n > SIZE_CAP or (mode == "full" and n * n > SIZE_CAP):  # before any n- or n*n-sized table
+        raise InputError(f"{path}:{header_no}: n={n} in {mode} mode is over the size cap of {SIZE_CAP}")
     if len(lines) - 1 != m:
         raise InputError(f"{path}: header promises {m} edge line(s), found {len(lines) - 1}")
 

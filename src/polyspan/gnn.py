@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import MAX_PLUS, MIN_PLUS, REAL, tropical_add
-from .carrier import GraphContext, parse_carrier
+from .carrier import CARRIER_V, GraphContext, parse_carrier
 from .errors import InputError, MemoryCapError
 from .span import (
     DataMap,
@@ -71,6 +71,9 @@ V3_SPEC = {
     "p": "[" + "; ".join(["inj[1]"] * 4 + ["inj[2]"] * 7) + "]",
     "o": "[inj[1].proj[2]; inj[2].proj[1,3]]",
 }
+
+# The edge-output carrier of the triple layer, parsed once.
+_CARRIER_V2 = parse_carrier("V^2")
 
 
 @lru_cache(maxsize=None)
@@ -359,8 +362,7 @@ def _mpnn_parts(graph: GraphContext, node_feats, edge_feats, graph_feat,
     messages = argument_pushforward(span, REAL, strategy, pulled)
     agg = _aggregate(span, messages, cfg)
     node_out = _readout(params.node_readout, node_feats, agg)
-    v = parse_carrier("V")
-    return messages, DataMap(v, cfg.node_width, node_out)
+    return messages, DataMap(CARRIER_V, cfg.node_width, node_out)
 
 
 def mpnn_forward(graph: GraphContext, node_feats, edge_feats, graph_feat,
@@ -403,7 +405,7 @@ def mpnn_reference(graph: GraphContext, node_feats, edge_feats, graph_feat,
             agg = np.full(cfg.msg_width, float(fill))
         x = np.concatenate([np.asarray(node_feats[u], dtype=float), agg])
         out.append(tuple(float(v) for v in params.node_readout(x)))
-    return DataMap(parse_carrier("V"), cfg.node_width, tuple(out))
+    return DataMap(CARRIER_V, cfg.node_width, tuple(out))
 
 
 def v2_forward(graph: GraphContext, node_feats, edge_feats, graph_feat,
@@ -461,8 +463,8 @@ def v3_forward(graph: GraphContext, node_feats, edge_feats, graph_feat,
     node_out = _readout(params.node_readout, node_feats, agg[:n])
     edge_out = _readout(params.edge_readout, edge_feats, agg[n:])
     return (
-        DataMap(parse_carrier("V"), cfg.node_width, node_out),
-        DataMap(parse_carrier("V^2"), cfg.edge_width, edge_out),
+        DataMap(CARRIER_V, cfg.node_width, node_out),
+        DataMap(_CARRIER_V2, cfg.edge_width, edge_out),
     )
 
 

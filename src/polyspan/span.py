@@ -132,6 +132,15 @@ class ValidationReport:
     issues: list[str]
 
 
+def _groups(ranks, count: int) -> tuple:
+    """Per codomain rank below count, the ascending domain ranks that
+    the rank map sends there."""
+    groups = [[] for _ in range(count)]
+    for x, y in enumerate(ranks):
+        groups[y].append(x)
+    return tuple(map(tuple, groups))
+
+
 class _Tables:
     """Compiled evaluation tables for one span on one graph."""
 
@@ -141,21 +150,9 @@ class _Tables:
         self.xi = carrier_index(span.arguments, g)
         self.yi = carrier_index(span.messages, g)
         self.zi = carrier_index(span.outputs, g)
-        i_node = span.input_map.node
-        p_node = span.process_map.node
-        o_node = span.output_map.node
-        image = []
-        fibers = [[] for _ in range(self.yi.size)]
-        for x in range(self.xi.size):
-            e = self.xi.element(x)
-            image.append(self.wi.rank(i_node.eval(e, g)))
-            fibers[self.yi.rank(p_node.eval(e, g))].append(x)
-        buckets = [[] for _ in range(self.zi.size)]
-        for y in range(self.yi.size):
-            buckets[self.zi.rank(o_node.eval(self.yi.element(y), g))].append(y)
-        self.input_image = tuple(image)
-        self.fibers = tuple(tuple(f) for f in fibers)
-        self.buckets = tuple(tuple(b) for b in buckets)
+        self.input_image = tuple(span.input_map.node.ranks(g))
+        self.fibers = _groups(span.process_map.node.ranks(g), self.yi.size)
+        self.buckets = _groups(span.output_map.node.ranks(g), self.zi.size)
 
 
 class PolynomialSpan:

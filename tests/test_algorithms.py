@@ -15,6 +15,7 @@ from polyspan import (
     floyd_warshall_step,
     integral_transform,
 )
+from polyspan import algorithms
 from polyspan.algorithms import (
     initial_distances,
     make_state,
@@ -54,6 +55,27 @@ class TestBellmanFord:
                 # None is the top element; updates only move down.
                 assert a is None or (b is not None and b <= a)
             prev = out
+
+    def test_driver_stacks_the_fixed_blocks_once(self, g1, monkeypatch):
+        # Every sweep reads make_state of the current distances, while
+        # make_state itself runs once per query.
+        step, make = algorithms.bellman_ford_step, algorithms.make_state
+        states, built = [], []
+
+        def recording_step(graph, state):
+            states.append(state)
+            return step(graph, state)
+
+        def recording_make(graph, distances):
+            built.append(list(distances))
+            return make(graph, distances)
+
+        monkeypatch.setattr(algorithms, "bellman_ford_step", recording_step)
+        monkeypatch.setattr(algorithms, "make_state", recording_make)
+        assert bellman_ford(g1, 1) == [None, 0, 3]  # fixpoint after the second sweep
+        assert built == [[None, 0, None]]
+        assert [s.rows for s in states] == [make(g1, d).rows for d in ([None, 0, None], [None, 0, 3])]
+        assert all(s.carrier == bellman_ford_span(g1).inputs for s in states)
 
     def test_zero_weight_self_loop_is_inert(self, g1):
         looped = GraphContext(3, g1.edges + ((1, 1, 0),))

@@ -75,10 +75,19 @@ class TestParse:
             c = parse_carrier(text)
             assert parse_carrier(c.text()) == c
 
-    @pytest.mark.parametrize("bad", ["", "V +", "V ^", "V^0", "W", "(V", "V)", "V ** E", "+ V"])
+    @pytest.mark.parametrize("bad", ["", "V +", "V ^", "V^0", "W", "(V", "V)", "V ** E", "+ V",
+                                     "V^25", "V^99999999999999999999"])
     def test_syntax_errors(self, bad):
         with pytest.raises(CarrierSyntaxError):
             parse_carrier(bad)
+
+    def test_exponent_at_the_bound_parses(self):
+        # Exponents past 24 are syntax errors: 2^25 is over the size cap.
+        assert parse_carrier("V^24").terms == (("V",) * 24,)
+
+    def test_overlong_integer_is_syntax_error(self):
+        with pytest.raises(CarrierSyntaxError):
+            parse_carrier("V^" + "9" * 5000)
 
     def test_error_carries_position(self):
         with pytest.raises(CarrierSyntaxError) as info:
@@ -202,6 +211,23 @@ class TestArrows:
         a = build_arrow("[id; tgt]", VE, V, g1)
         pre = preimage(a, Element(0, (2,)), g1)
         assert pre == [Element(0, (2,)), Element(1, (1,)), Element(1, (2,))]
+
+    def test_proj_swaps_factors_of_unequal_size(self):
+        # n = 2, m = 3: element (v, e) of V*E has rank v*3 + e, and its
+        # image (e, v) in E*V has rank e*2 + v.
+        g = GraphContext(2, ((0, 1, 5), (1, 0, 6), (1, 1, 7)))
+        a = build_arrow("proj[2,1]", parse_carrier("V*E"), parse_carrier("E*V"), g)
+        for v in range(2):
+            for e in range(3):
+                assert eval_arrow(a, Element(0, (v, e)), g) == Element(0, (e, v))
+
+    def test_preimage_past_an_empty_term(self):
+        # No edges, so the E term is empty and the second V term starts
+        # right after the first.
+        g = GraphContext(3, ())
+        a = build_arrow("[id; tgt; id]", parse_carrier("V + E + V"), V, g)
+        assert preimage(a, Element(0, (1,)), g) == [Element(0, (1,)), Element(2, (1,))]
+        assert preimage(build_arrow("tgt", E, V, g), Element(0, (1,)), g) == []
 
 
 class TestArrowErrors:

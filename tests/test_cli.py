@@ -79,6 +79,16 @@ class TestLoadGraph:
             load_graph(str(p))
         assert "out of range" in str(info.value)
 
+    @pytest.mark.parametrize("header", ["10000001 0", "3163 0 full"])
+    def test_header_over_size_cap_rejected(self, tmp_path, header):
+        # n over the cap, or n*n over it in full mode, fails before any
+        # n- or n*n-sized table is built.
+        p = tmp_path / "g.graph"
+        p.write_text(header + "\n")
+        with pytest.raises(InputError) as info:
+            load_graph(str(p))
+        assert "size cap" in str(info.value)
+
 
 class TestFormatValue:
     def test_values(self):
@@ -202,6 +212,11 @@ class TestDeepExpressions:
         ):
             code, out, err = invoke(["run-span", "--graph", g1_file, "--span", span_file])
             assert (code, err) == (0, "")
+
+    def test_huge_exponent_is_input_error(self, g1_file, span_with):
+        span_file = span_with(W="V^99999999999999999999")
+        code, out, err = invoke(["run-span", "--graph", g1_file, "--span", span_file])
+        assert code == 2 and "exponent" in err and "Traceback" not in err
 
     def test_long_id_chain_equals_id(self, g1_file, span_with):
         argv = ["run-span", "--graph", g1_file, "--source", "0", "--span"]

@@ -20,6 +20,7 @@ from polyspan import (
     StrategyError,
     argument_fiber_rows,
     argument_pushforward,
+    floyd_warshall_span,
     integral_transform,
     load_span_file,
     message_preimage_bags,
@@ -167,6 +168,23 @@ class TestStages:
                                     pullback(span, bf_inputs(g1)))
         assert message_pushforward(span, MIN_PLUS, msgs, hook=lambda r: r) == \
             message_pushforward(span, MIN_PLUS, msgs)
+
+
+class TestCompiledTables:
+    def test_floyd_warshall_tables_match_closed_forms(self):
+        # Argument r of either V^3 copy is the triple (i, k, j) with
+        # r = i*9 + k*3 + j; the first copy reads d[i][k], the second
+        # d[k][j], both fold into message r, and message r lands on (i, j).
+        t = floyd_warshall_span(3).compiled()
+        n3 = 27
+        assert t.input_image == (
+            tuple((r // 9) * 3 + (r // 3) % 3 for r in range(n3))
+            + tuple(r % 9 for r in range(n3))
+        )
+        assert t.fibers == tuple((r, n3 + r) for r in range(n3))
+        assert t.buckets == tuple(
+            tuple(i * 9 + k * 3 + j for k in range(3)) for i in range(3) for j in range(3)
+        )
 
 
 class TestEdgeShapes:
