@@ -17,10 +17,20 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .algebra import MIN_PLUS, Value, tropical_add, tropical_min
 from .carrier import GraphContext
 from .errors import InputError
-from .span import DataMap, FoldStrategy, PolynomialSpan, integral_transform
+from .span import (
+    SPAN_CACHE_SIZE,
+    DataMap,
+    FoldStrategy,
+    PolynomialSpan,
+    _as_object,
+    _decode,
+    integral_transform,
+)
 
 # Textual form of the single-source relaxation span.  The argument
 # carrier holds two copies of V+E: the first pulls current distances
@@ -54,13 +64,13 @@ FLOYD_WARSHALL_SPEC = {
 Matrix = tuple
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPAN_CACHE_SIZE)
 def bellman_ford_span(graph: GraphContext) -> PolynomialSpan:
     """The single-source relaxation span bound to one graph."""
     return PolynomialSpan.from_spec(BELLMAN_FORD_SPEC, graph)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPAN_CACHE_SIZE)
 def floyd_warshall_span(n: int) -> PolynomialSpan:
     """The all-pairs relaxation span on the fully-connected graph of n nodes."""
     return PolynomialSpan.from_spec(FLOYD_WARSHALL_SPEC, GraphContext.fully_connected(n))
@@ -102,21 +112,23 @@ def bellman_ford_step(graph: GraphContext, state: DataMap) -> DataMap:
 def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
     """Single-source shortest distances via repeated relaxation sweeps.
 
-    Runs until fixpoint or n - 1 sweeps, whichever comes first.
+    Runs until fixpoint or n - 1 sweeps, whichever comes first.  Each
+    sweep's output array is the next distance block of the stacked
+    input; the distances are decoded once, at the end.
     """
     check_tropical_weights(graph)
-    dist = initial_distances(graph, source)
-    state = make_state(graph, dist)
-    bias_and_weights = state.rows[graph.n:]
-    for _ in range(max(graph.n - 1, 0)):
-        out = bellman_ford_step(graph, state)
-        nxt = [r[0] for r in out.rows]
-        if nxt == dist:
+    n = graph.n
+    state = make_state(graph, initial_distances(graph, source))
+    kind, table = state._encoded()
+    for _ in range(max(n - 1, 0)):
+        out_kind, dist = bellman_ford_step(graph, state)._encoded()
+        if out_kind != kind:  # the overflow guard moved the sweep onto Python ints
+            kind, table, dist = "object", _as_object(kind, table), _as_object(out_kind, dist)
+        if np.array_equal(dist, table[:n]):
             break
-        dist = nxt
-        # A sweep's output rows are exactly the next distance block.
-        state = DataMap._built(state.carrier, 1, out.rows + bias_and_weights)
-    return dist
+        table = np.concatenate((dist, table[n:]))
+        state = DataMap._built(state.carrier, 1, values=(kind, table))
+    return _decode(kind, table[:n, 0])
 
 
 def _check_matrix(d: Sequence[Sequence[Value]]) -> int:
@@ -146,8 +158,8 @@ def floyd_warshall_step(d: Sequence[Sequence[Value]]) -> Matrix:
     n = _check_matrix(d)
     span = floyd_warshall_span(n)
     table = DataMap(span.inputs, 1, _matrix_rows(d))
-    out = integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), table)
-    return tuple(tuple(out.rows[i * n + j][0] for j in range(n)) for i in range(n))
+    rows = integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), table).rows
+    return tuple(tuple(rows[i * n + j][0] for j in range(n)) for i in range(n))
 
 
 def floyd_warshall(d0: Sequence[Sequence[Value]]) -> Matrix:

@@ -56,6 +56,14 @@ MAX_NESTING = 100
 # the cap on any graph with n >= 2, and no k-tuple need be built to say so.
 MAX_EXPONENT = SIZE_CAP.bit_length()
 
+# Most terms a carrier may have once products distribute over sums;
+# checked before a sum or product is built, since each factor of a
+# product of sums can double the count.
+MAX_TERMS = 1024
+
+# Entries kept by the carrier-index cache; a span holds four indexes.
+INDEX_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class GraphContext:
@@ -70,6 +78,7 @@ class GraphContext:
     n: int
     edges: tuple = ()
     full: bool = False
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         if self.n < 0:
@@ -88,6 +97,11 @@ class GraphContext:
             for k, (u, v, _) in enumerate(self.edges):
                 if u != k // n or v != k % n:
                     raise InputError(f"fully-connected edge {k} must be ({k // n}, {k % n})")
+        # Hashed once: every cache keyed on a graph would re-hash all edges.
+        object.__setattr__(self, "_hash", hash((self.n, self.edges, self.full)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def fully_connected(cls, n: int, weights: Mapping[tuple[int, int], Value] | None = None) -> "GraphContext":
@@ -231,7 +245,13 @@ class _Parser:
         return tok
 
 
-def _cross(a: Carrier, b: Carrier) -> Carrier:
+def _check_terms(count: int, pos: int):
+    if count > MAX_TERMS:
+        raise CarrierSyntaxError(f"carrier has more than {MAX_TERMS} terms", pos)
+
+
+def _cross(a: Carrier, b: Carrier, pos: int) -> Carrier:
+    _check_terms(len(a.terms) * len(b.terms), pos)
     return Carrier(tuple(ta + tb for ta in a.terms for tb in b.terms))
 
 
@@ -248,16 +268,18 @@ def parse_carrier(text: str) -> Carrier:
 def _parse_sum(p: _Parser) -> Carrier:
     terms = list(_parse_product(p).terms)
     while p.peek()[0] == "+":
-        p.advance()
-        terms.extend(_parse_product(p).terms)
+        pos = p.advance()[2]
+        more = _parse_product(p).terms
+        _check_terms(len(terms) + len(more), pos)
+        terms.extend(more)
     return Carrier(tuple(terms))
 
 
 def _parse_product(p: _Parser) -> Carrier:
     c = _parse_factor(p)
     while p.peek()[0] == "*":
-        p.advance()
-        c = _cross(c, _parse_factor(p))
+        pos = p.advance()[2]
+        c = _cross(c, _parse_factor(p), pos)
     return c
 
 
@@ -353,7 +375,7 @@ class CarrierIndex:
         return self.offsets[e.term_index] + rel
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=INDEX_CACHE_SIZE)
 def carrier_index(carrier: Carrier, graph: GraphContext) -> CarrierIndex:
     return CarrierIndex(carrier, graph)
 

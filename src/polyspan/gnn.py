@@ -30,6 +30,7 @@ from .algebra import MAX_PLUS, MIN_PLUS, REAL, tropical_add
 from .carrier import CARRIER_V, GraphContext, parse_carrier
 from .errors import InputError, MemoryCapError
 from .span import (
+    SPAN_CACHE_SIZE,
     DataMap,
     FoldStrategy,
     PolynomialSpan,
@@ -76,12 +77,12 @@ V3_SPEC = {
 _CARRIER_V2 = parse_carrier("V^2")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPAN_CACHE_SIZE)
 def mpnn_span(graph: GraphContext) -> PolynomialSpan:
     return PolynomialSpan.from_spec(MPNN_SPEC, graph)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPAN_CACHE_SIZE)
 def v3_span(n: int) -> PolynomialSpan:
     return PolynomialSpan.from_spec(V3_SPEC, GraphContext.fully_connected(n))
 
@@ -328,8 +329,8 @@ def _aggregate(span: PolynomialSpan, messages: DataMap, cfg: LayerConfig) -> tup
         return message_pushforward(span, REAL, messages).rows
     agg = message_pushforward(span, MAX_PLUS, messages)
     floor_row = (float(cfg.empty_floor),) * agg.width
-    return tuple(row if bucket else floor_row
-                 for row, bucket in zip(agg.rows, span.compiled().buckets))
+    sizes = span.compiled().bucket_groups.sizes.tolist()
+    return tuple(row if size else floor_row for row, size in zip(agg.rows, sizes))
 
 
 def _readout(mlp: MLP, feats, agg_rows) -> tuple:

@@ -20,15 +20,28 @@ Fibers and preimages are ordered by ascending canonical rank, so every
 stage is deterministic.  The list-shaped and bag-shaped intermediates
 of the middle stages are available via ``argument_fiber_rows`` and
 ``message_preimage_bags``.
+
+Compiling a span turns its three arrows into index arrays: the input
+map's rank map, and the process and output maps grouped into fibers and
+buckets.  The stages then run as array operations: pullback is a
+gather, and a semiring fold or reduce is one positional loop whose step
+k combines the k-th member of every group that has one, which is the
+same left-to-right order as a per-group loop.  Tables travel between
+stages as arrays and decode to Python rows only when read (see
+``_encode`` for the exactness rules).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .algebra import Bag, Semiring
+import numpy as np
+
+from .algebra import BOOLEAN, MAX_PLUS, MIN_PLUS, REAL, Bag, Semiring
 from .carrier import (
     Arrow,
     Carrier,
@@ -47,25 +60,138 @@ from .errors import (
 
 Row = tuple
 
+# Entries kept by each span builder's cache (bellman_ford_span and the
+# others): a compiled span holds index arrays as long as its carriers.
+SPAN_CACHE_SIZE = 32
 
-@dataclass(frozen=True)
+# --- value arrays -------------------------------------------------------------
+
+# The int64 stand-in for None, the unreachable value of min-plus.
+_UNREACHABLE = int(np.iinfo(np.int64).max)
+
+
+def _encode(rows, width: int) -> tuple[str, np.ndarray]:
+    """A table's values as a (kind, array) pair with one row per table
+    row.  The kind follows the exact Python types of the values: "float"
+    (float64), "bool", "int" (int64, None stored as _UNREACHABLE; no
+    value may be past int64 or equal to that sentinel), and otherwise
+    "object", which holds the values themselves.  Decoding gives back
+    values equal in value and in type."""
+    flat = list(chain.from_iterable(rows))
+    types = set(map(type, flat))
+    if types == {float}:
+        return "float", np.array(flat, dtype=np.float64).reshape(len(rows), width)
+    if types == {bool}:
+        return "bool", np.array(flat, dtype=np.bool_).reshape(len(rows), width)
+    if types and types <= {int, type(None)}:
+        try:
+            array = np.array([_UNREACHABLE if v is None else v for v in flat], dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            if np.count_nonzero(array == _UNREACHABLE) == flat.count(None):
+                return "int", array.reshape(len(rows), width)
+    return "object", np.fromiter(flat, dtype=object, count=len(flat)).reshape(len(rows), width)
+
+
+def _as_object(kind: str, array: np.ndarray) -> np.ndarray:
+    """The array's values as Python objects."""
+    if kind == "object":
+        return array
+    values = array.astype(object)
+    if kind == "int":
+        values[array == _UNREACHABLE] = None
+    return values
+
+
+def _decode(kind: str, array: np.ndarray) -> list:
+    """The array's values as nested lists of Python values."""
+    return _as_object(kind, array).tolist()
+
+
+def _fits(array: np.ndarray, group_size: int) -> bool:
+    """Overflow guard of the int64 kernel: no fold of up to group_size
+    finite values can reach the sentinel."""
+    finite = array[array != _UNREACHABLE]
+    if not finite.size:
+        return True
+    return max(int(finite.max()), -int(finite.min())) * group_size < _UNREACHABLE
+
+
+def _tropical_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = a + b
+    out[(a == _UNREACHABLE) | (b == _UNREACHABLE)] = _UNREACHABLE
+    return out
+
+
+def _first_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Exactly Python's max(a, b), NaN and signed zero included: b only
+    # when b > a.
+    return np.where(b > a, b, a)
+
+
+# Per semiring: the array kind its values must have for the array
+# kernel, then its plus and times on arrays of that kind.  Any other
+# semiring, kind, or a guard miss runs the semiring's own functions.
+_KERNELS = {
+    MIN_PLUS: ("int", np.minimum, _tropical_times),
+    REAL: ("float", np.add, np.multiply),
+    MAX_PLUS: ("float", _first_max, np.add),
+    BOOLEAN: ("bool", np.logical_or, np.logical_and),
+}
+
+
 class DataMap:
     """A dense table: one row of ``width`` values per carrier element,
-    in canonical enumeration order."""
+    in canonical enumeration order.
 
-    carrier: Carrier
-    width: int
-    rows: tuple
+    A stage's output keeps its values as an array and decodes ``rows``
+    only when they are read; a pullback's output is a gather of its
+    input, made from whichever of the two the next stage reads.  Tables
+    are equal when their carriers, widths and rows are.
+    """
+
+    __slots__ = ("carrier", "width", "_rows", "_values", "_gather")
+
+    def __init__(self, carrier: Carrier, width: int, rows):
+        self.carrier = carrier
+        self.width = width
+        self._rows = rows
+        self._values = self._gather = None
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        # The public constructor's per-row check, under the name it had
+        # when DataMap was a dataclass; spanbench's tracer times it so.
+        self._rows = tuple(tuple(r) for r in self._rows)
         if self.width < 1:
             raise CarrierMismatchError(f"width must be >= 1, got {self.width}")
-        for r in self.rows:
+        for r in self._rows:
             if len(r) != self.width:
                 raise CarrierMismatchError(
                     f"row of length {len(r)} in a table of width {self.width}"
                 )
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            if self._gather is not None and self._gather[0]._rows is not None:
+                source, index = self._gather
+                self._rows = tuple(map(source._rows.__getitem__, index.tolist()))
+            else:
+                self._rows = tuple(map(tuple, _decode(*self._encoded())))
+        return self._rows
+
+    def __eq__(self, other):
+        if not isinstance(other, DataMap):
+            return NotImplemented
+        return (self.carrier, self.width, self.rows) == (other.carrier, other.width, other.rows)
+
+    def __hash__(self):
+        return hash((self.carrier, self.width, self.rows))
+
+    def __repr__(self):
+        return f"DataMap(carrier={self.carrier!r}, width={self.width!r}, rows={self.rows!r})"
 
     @classmethod
     def from_term_blocks(cls, carrier: Carrier, graph: GraphContext, blocks: Sequence[Sequence[Row]]) -> "DataMap":
@@ -89,16 +215,33 @@ class DataMap:
         return cls(carrier, len(rows[0]), rows)
 
     @classmethod
-    def _built(cls, carrier: Carrier, width: int, rows: tuple) -> "DataMap":
-        """A stage output whose rows the stage made ``width`` wide: only
-        the width itself is checked, not every row."""
+    def _built(cls, carrier: Carrier, width: int, rows: tuple | None = None,
+               values: tuple[str, np.ndarray] | None = None,
+               gather: tuple["DataMap", np.ndarray] | None = None) -> "DataMap":
+        """A table made by the engine from rows ``width`` wide, from an
+        encoded (kind, array) pair, or as the (source table, row index)
+        gather: only the width itself is checked."""
         if width < 1:
             raise CarrierMismatchError(f"width must be >= 1, got {width}")
         data = object.__new__(cls)
-        object.__setattr__(data, "carrier", carrier)
-        object.__setattr__(data, "width", width)
-        object.__setattr__(data, "rows", rows)
+        data.carrier, data.width, data._rows = carrier, width, rows
+        data._values, data._gather = values, gather
         return data
+
+    def _encoded(self) -> tuple[str, np.ndarray]:
+        if self._values is None:
+            if self._gather is not None:
+                source, index = self._gather
+                kind, array = source._encoded()
+                self._values = kind, array[index]
+            else:
+                self._values = _encode(self._rows, self.width)
+        return self._values
+
+    def _size(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
+        return len(self._gather[1] if self._gather is not None else self._values[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +275,38 @@ class ValidationReport:
     issues: list[str]
 
 
-def _groups(ranks, count: int) -> tuple:
-    """Per codomain rank below count, the ascending domain ranks that
-    the rank map sends there."""
-    groups = [[] for _ in range(count)]
-    for x, y in enumerate(ranks):
-        groups[y].append(x)
-    return tuple(map(tuple, groups))
+class _Groups:
+    """The domain ranks that a rank map sends to each codomain rank
+    below ``count``.
+
+    ``order`` is a stable argsort of the map, so group y is
+    ``order[starts[y]:starts[y] + sizes[y]]``, in ascending rank.
+    ``perm`` lists the groups largest first, and ``steps[k]`` holds the
+    k-th member of each group in ``perm`` that has more than k members;
+    those groups are a prefix of ``perm``.
+    """
+
+    def __init__(self, ranks, count: int):
+        ranks = np.fromiter(ranks, dtype=np.intp, count=len(ranks))
+        self.count = count
+        self.sizes = np.bincount(ranks, minlength=count)
+        self.order = np.argsort(ranks, kind="stable")
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.perm = np.argsort(-self.sizes, kind="stable")
+        self.largest = int(self.sizes.max(initial=0))
+
+    @cached_property
+    def steps(self) -> list:
+        firsts = self.starts[self.perm]
+        # active[k] counts the groups with more than k members.
+        active = self.count - np.cumsum(np.bincount(self.sizes, minlength=self.largest + 1))
+        return [self.order[firsts[:c] + k] for k, c in enumerate(active[:self.largest].tolist())]
+
+    @cached_property
+    def members(self) -> tuple:
+        """Per group, its ascending domain ranks, as tuples."""
+        flat = self.order.tolist()
+        return tuple(tuple(flat[s:s + n]) for s, n in zip(self.starts.tolist(), self.sizes.tolist()))
 
 
 class _Tables:
@@ -150,9 +318,20 @@ class _Tables:
         self.xi = carrier_index(span.arguments, g)
         self.yi = carrier_index(span.messages, g)
         self.zi = carrier_index(span.outputs, g)
-        self.input_image = tuple(span.input_map.node.ranks(g))
-        self.fibers = _groups(span.process_map.node.ranks(g), self.yi.size)
-        self.buckets = _groups(span.output_map.node.ranks(g), self.zi.size)
+        ranks = span.input_map.node.ranks(g)
+        self.input_image = np.fromiter(ranks, dtype=np.intp, count=len(ranks))
+        self.fiber_groups = _Groups(span.process_map.node.ranks(g), self.yi.size)
+        self.bucket_groups = _Groups(span.output_map.node.ranks(g), self.zi.size)
+
+    @property
+    def fibers(self) -> tuple:
+        """Per message, the ascending argument ranks of its process fiber."""
+        return self.fiber_groups.members
+
+    @property
+    def buckets(self) -> tuple:
+        """Per output, the ascending message ranks of its preimage."""
+        return self.bucket_groups.members
 
 
 class PolynomialSpan:
@@ -256,37 +435,50 @@ def _require_on(data: DataMap, index: CarrierIndex, stage: str):
         raise CarrierMismatchError(
             f"{stage}: table is on {data.carrier.text()}, expected {index.carrier.text()}"
         )
-    if len(data.rows) != index.size:
+    if data._size() != index.size:
         raise CarrierMismatchError(
-            f"table has {len(data.rows)} rows but {index.carrier.text()} has "
+            f"table has {data._size()} rows but {index.carrier.text()} has "
             f"{index.size} elements on this graph"
         )
 
 
-def _fold_groups(rows, groups, op, identity, width: int) -> tuple:
-    """Combine the rows of each group of row indices componentwise with
-    ``op``, left to right; an empty group yields the all-identity row."""
-    empty = (identity,) * width
-    out = []
-    for group in groups:
-        if not group:
-            out.append(empty)
-            continue
-        acc = list(rows[group[0]])
-        for i in group[1:]:
-            r = rows[i]
-            for c in range(width):
-                acc[c] = op(acc[c], r[c])
-        out.append(tuple(acc))
-    return tuple(out)
+def _combine(groups: _Groups, s: Semiring, plus: bool, data: DataMap) -> tuple[str, np.ndarray]:
+    """Combine the rows of each group componentwise with ``s.plus`` (or
+    ``s.times``), left to right; an empty group yields the all-identity
+    row.  Step k of the loop combines the k-th member of every group
+    that has one.  The semiring's array kernel runs when the table has
+    its kind and, for int64, the overflow guard passes; otherwise the
+    semiring's own functions run on the values as Python objects."""
+    kind, array = data._encoded()
+    identity = s.zero if plus else s.one
+    kernel = _KERNELS.get(s)
+    if kernel is not None and kernel[0] == kind and (kind != "int" or _fits(array, groups.largest)):
+        op = kernel[1] if plus else kernel[2]
+        if identity is None:
+            identity = _UNREACHABLE
+    else:
+        kind, array = "object", _as_object(kind, array)
+        op = np.frompyfunc(s.plus if plus else s.times, 2, 1)
+    acc = np.empty((groups.count, data.width), dtype=array.dtype)
+    steps = groups.steps
+    head = len(steps[0]) if steps else 0
+    acc[head:].fill(identity)
+    if head:
+        acc[:head] = array[steps[0]]
+    with np.errstate(all="ignore"):  # Python's float arithmetic gives inf and NaN silently
+        for members in steps[1:]:
+            part = acc[:len(members)]
+            part[...] = op(part, array[members])
+    out = np.empty_like(acc)
+    out[groups.perm] = acc
+    return kind, out
 
 
 def pullback(span: PolynomialSpan, inputs: DataMap) -> DataMap:
     """Copy each argument's input row across the input map."""
     t = span.compiled()
     _require_on(inputs, t.wi, "pullback")
-    rows = inputs.rows
-    return DataMap._built(span.arguments, inputs.width, tuple(rows[w] for w in t.input_image))
+    return DataMap._built(span.arguments, inputs.width, gather=(inputs, t.input_image))
 
 
 def argument_fiber_rows(span: PolynomialSpan, arguments: DataMap) -> list[tuple]:
@@ -302,20 +494,21 @@ def argument_pushforward(span: PolynomialSpan, s: Semiring, strategy: FoldStrate
     """Fold each ordered process fiber into one message row."""
     t = span.compiled()
     _require_on(arguments, t.xi, "argument pushforward")
-    rows = arguments.rows
     if strategy.kind == "semiring":
-        width = arguments.width
-        return DataMap._built(span.messages, width,
-                              _fold_groups(rows, t.fibers, s.times, s.one, width))
+        return DataMap._built(span.messages, arguments.width,
+                              values=_combine(t.fiber_groups, s, False, arguments))
     if strategy.kind == "learned":
+        groups = t.fiber_groups
+        rows = arguments.rows
+        ordered = list(map(rows.__getitem__, groups.order.tolist()))  # fiber after fiber
         folds = strategy.folds or {}
         out = []
         width = strategy.width
-        for fiber in t.fibers:
-            fold = folds.get(len(fiber))
+        for start, size in zip(groups.starts.tolist(), groups.sizes.tolist()):
+            fold = folds.get(size)
             if fold is None:
-                raise StrategyError(f"learned fold has no mapping for fiber size {len(fiber)}")
-            row = tuple(fold(tuple(rows[x] for x in fiber)))
+                raise StrategyError(f"learned fold has no mapping for fiber size {size}")
+            row = tuple(fold(tuple(ordered[start:start + size])))
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -349,15 +542,14 @@ def message_pushforward(span: PolynomialSpan, s: Semiring, messages: DataMap,
     """
     t = span.compiled()
     _require_on(messages, t.yi, "message pushforward")
-    rows = messages.rows
     if hook is not None:
-        rows = tuple(tuple(hook(r)) for r in rows)
+        rows = tuple(tuple(hook(r)) for r in messages.rows)
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise StrategyError("hook produced rows of differing widths")
-    width = len(rows[0]) if rows else messages.width
-    return DataMap._built(span.outputs, width,
-                          _fold_groups(rows, t.buckets, s.plus, s.zero, width))
+        messages = DataMap._built(span.messages, len(rows[0]) if rows else messages.width, rows)
+    return DataMap._built(span.outputs, messages.width,
+                          values=_combine(t.bucket_groups, s, True, messages))
 
 
 def integral_transform(span: PolynomialSpan, s: Semiring, strategy: FoldStrategy,

@@ -200,3 +200,18 @@ class TestFloydWarshall:
     def test_rejects_negative_entry(self):
         with pytest.raises(InputError):
             floyd_warshall(((0, -2), (None, 0)))
+
+
+def test_span_and_index_caches_are_bounded():
+    from polyspan import gnn
+    from polyspan.carrier import INDEX_CACHE_SIZE, carrier_index
+    from polyspan.span import SPAN_CACHE_SIZE
+
+    for builder in (bellman_ford_span, algorithms.floyd_warshall_span, gnn.mpnn_span, gnn.v3_span):
+        assert builder.cache_info().maxsize == SPAN_CACHE_SIZE
+    assert carrier_index.cache_info().maxsize == INDEX_CACHE_SIZE
+    bellman_ford_span.cache_clear()
+    for n in range(1, SPAN_CACHE_SIZE + 6):
+        assert bellman_ford(GraphContext(n, ()), 0) == [0] + [None] * (n - 1)
+    assert bellman_ford_span.cache_info().currsize == SPAN_CACHE_SIZE
+    assert carrier_index.cache_info().currsize <= INDEX_CACHE_SIZE

@@ -20,6 +20,7 @@ from polyspan import (
     rank,
     size,
 )
+from polyspan.carrier import MAX_TERMS
 
 
 class TestGraphContext:
@@ -46,6 +47,16 @@ class TestGraphContext:
     def test_full_mode_rejects_scrambled_edges(self):
         with pytest.raises(InputError):
             GraphContext(2, ((0, 0, 0), (1, 0, None), (0, 1, None), (1, 1, 0)), full=True)
+
+    def test_equal_graphs_share_one_cache_entry(self):
+        from polyspan.algorithms import bellman_ford_span
+
+        edges = ((0, 1, 2), (1, 2, None), (2, 0, 7))
+        a, b = GraphContext(3, edges), GraphContext(3, [list(e) for e in edges])
+        assert a == b and hash(a) == hash(b)
+        bellman_ford_span.cache_clear()
+        assert bellman_ford_span(a) is bellman_ford_span(b)
+        assert bellman_ford_span.cache_info().currsize == 1
 
 
 class TestParse:
@@ -84,6 +95,14 @@ class TestParse:
     def test_exponent_at_the_bound_parses(self):
         # Exponents past 24 are syntax errors: 2^25 is over the size cap.
         assert parse_carrier("V^24").terms == (("V",) * 24,)
+
+    def test_term_count_is_bounded(self):
+        # Ten factors of (V + E) distribute to exactly MAX_TERMS terms.
+        assert len(parse_carrier("*".join(["(V + E)"] * 10)).terms) == MAX_TERMS == 1024
+        for bad in ("*".join(["(V + E)"] * 17),
+                    "*".join(["(V + E)"] * 10) + " + V"):
+            with pytest.raises(CarrierSyntaxError, match="terms"):
+                parse_carrier(bad)
 
     def test_overlong_integer_is_syntax_error(self):
         with pytest.raises(CarrierSyntaxError):

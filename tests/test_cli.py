@@ -218,6 +218,11 @@ class TestDeepExpressions:
         code, out, err = invoke(["run-span", "--graph", g1_file, "--span", span_file])
         assert code == 2 and "exponent" in err and "Traceback" not in err
 
+    def test_term_blowup_is_input_error(self, g1_file, span_with):
+        span_file = span_with(W="*".join(["(V + E)"] * 17))
+        code, out, err = invoke(["run-span", "--graph", g1_file, "--span", span_file])
+        assert code == 2 and "terms" in err and "Traceback" not in err
+
     def test_long_id_chain_equals_id(self, g1_file, span_with):
         argv = ["run-span", "--graph", g1_file, "--source", "0", "--span"]
         chain = ".".join(["id"] * 3000)
