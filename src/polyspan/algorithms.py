@@ -29,6 +29,7 @@ from .span import (
     PolynomialSpan,
     _as_object,
     _decode,
+    _encode,
     integral_transform,
 )
 
@@ -109,26 +110,32 @@ def bellman_ford_step(graph: GraphContext, state: DataMap) -> DataMap:
     return integral_transform(bellman_ford_span(graph), MIN_PLUS, FoldStrategy.semiring(), state)
 
 
+def _relax(sweep, state: DataMap, head: int, sweeps: int) -> tuple[str, np.ndarray]:
+    """Apply sweep to state until its first head rows stop changing, or
+    sweeps times; each sweep's output array is the next head block of
+    the input.  Returns the encoded head block, undecoded."""
+    kind, table = state._encoded()
+    for _ in range(sweeps):
+        out_kind, new = sweep(state)._encoded()
+        if out_kind != kind:  # the overflow guard moved the sweep onto Python ints
+            kind, table, new = "object", _as_object(kind, table), _as_object(out_kind, new)
+        if np.array_equal(new, table[:head]):
+            break
+        table = np.concatenate((new, table[head:]))
+        state = DataMap._built(state.carrier, 1, values=(kind, table))
+    return kind, table[:head]
+
+
 def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
     """Single-source shortest distances via repeated relaxation sweeps.
 
-    Runs until fixpoint or n - 1 sweeps, whichever comes first.  Each
-    sweep's output array is the next distance block of the stacked
-    input; the distances are decoded once, at the end.
+    Runs until fixpoint or n - 1 sweeps, whichever comes first; the
+    distances are decoded once, at the end.
     """
     check_tropical_weights(graph)
-    n = graph.n
     state = make_state(graph, initial_distances(graph, source))
-    kind, table = state._encoded()
-    for _ in range(max(n - 1, 0)):
-        out_kind, dist = bellman_ford_step(graph, state)._encoded()
-        if out_kind != kind:  # the overflow guard moved the sweep onto Python ints
-            kind, table, dist = "object", _as_object(kind, table), _as_object(out_kind, dist)
-        if np.array_equal(dist, table[:n]):
-            break
-        table = np.concatenate((dist, table[n:]))
-        state = DataMap._built(state.carrier, 1, values=(kind, table))
-    return _decode(kind, table[:n, 0])
+    kind, dist = _relax(lambda s: bellman_ford_step(graph, s), state, graph.n, max(graph.n - 1, 0))
+    return _decode(kind, dist[:, 0])
 
 
 def _check_matrix(d: Sequence[Sequence[Value]]) -> int:
@@ -149,17 +156,22 @@ def _check_matrix(d: Sequence[Sequence[Value]]) -> int:
     return n
 
 
-def _matrix_rows(d: Sequence[Sequence[Value]]) -> tuple:
-    return tuple((w,) for row in d for w in row)
+def _floyd_warshall(d: Sequence[Sequence[Value]], sweeps: int) -> Matrix:
+    """Up to ``sweeps`` relaxations of d, checked, encoded and decoded once.
+    The zero diagonal makes k = j a candidate for every entry, so a sweep
+    never raises one: its result is already min(d, sweep)."""
+    n = _check_matrix(d)
+    span = floyd_warshall_span(n)
+    kind, array = _encode(d, n)
+    state = DataMap._built(span.inputs, 1, values=(kind, array.reshape(n * n, 1)))
+    kind, table = _relax(lambda s: integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), s),
+                         state, n * n, sweeps)
+    return tuple(map(tuple, _decode(kind, table.reshape(n, n))))
 
 
 def floyd_warshall_step(d: Sequence[Sequence[Value]]) -> Matrix:
     """One all-pairs relaxation: min over k of d[i][k] + d[k][j]."""
-    n = _check_matrix(d)
-    span = floyd_warshall_span(n)
-    table = DataMap(span.inputs, 1, _matrix_rows(d))
-    rows = integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), table).rows
-    return tuple(tuple(rows[i * n + j][0] for j in range(n)) for i in range(n))
+    return _floyd_warshall(d, 1)
 
 
 def floyd_warshall(d0: Sequence[Sequence[Value]]) -> Matrix:
@@ -168,17 +180,7 @@ def floyd_warshall(d0: Sequence[Sequence[Value]]) -> Matrix:
     Each sweep doubles the path length covered, so at most
     ceil(log2 n) + 1 sweeps are needed.
     """
-    n = _check_matrix(d0)
-    d = tuple(tuple(row) for row in d0)
-    cap = (n - 1).bit_length() + 1 if n >= 1 else 1
-    for _ in range(cap):
-        # The zero diagonal makes k = j a candidate for every entry, so a
-        # sweep never raises one: its result is already min(d, sweep).
-        nxt = floyd_warshall_step(d)
-        if nxt == d:
-            break
-        d = nxt
-    return d
+    return _floyd_warshall(d0, max(len(d0) - 1, 0).bit_length() + 1)
 
 
 # --- textbook oracles, kept free of the span machinery ----------------------

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
-from operator import mul
+from operator import itemgetter
 from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     ArrowTypeError,
@@ -65,6 +66,10 @@ MAX_TERMS = 1024
 INDEX_CACHE_SIZE = 256
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GraphContext:
     """A finite directed graph binding V and E to concrete sizes.
@@ -81,15 +86,17 @@ class GraphContext:
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"node count must be >= 0, got {self.n}")
+        if not (_is_int(self.n) and self.n >= 0):
+            raise InputError(f"node count must be an integer >= 0, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         for k, e in enumerate(self.edges):
             if len(e) != 3:
                 raise InputError(f"edge {k} must be (source, target, weight), got {e!r}")
             u, v, _ = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge {k} endpoints ({u}, {v}) out of range for n={self.n}")
+            if not ((type(u) is type(v) is int or _is_int(u) and _is_int(v))  # plain ints skip the calls
+                    and 0 <= u < self.n and 0 <= v < self.n):
+                raise InputError(f"edge {k} endpoints ({u!r}, {v!r}) are not integers in range for n={self.n}")
         if self.full:
             n = self.n
             if len(self.edges) != n * n:
@@ -349,12 +356,7 @@ class CarrierIndex:
         for t in range(len(self.offsets)):
             rel = index - self.offsets[t]
             if rel < self.term_sizes[t]:
-                dims = self.term_dims[t]
-                coords = [0] * len(dims)
-                for j in range(len(dims) - 1, -1, -1):
-                    coords[j] = rel % dims[j]
-                    rel //= dims[j]
-                return Element(t, tuple(coords))
+                return Element(t, tuple(map(int, np.unravel_index(rel, self.term_dims[t]))))
         raise IndexError(index)
 
     def rank(self, e: Element) -> int:
@@ -404,8 +406,8 @@ def _single_term(carrier: Carrier, index: int) -> Carrier:
 
 @dataclass(frozen=True)
 class _Node:
-    """A typed arrow; entry x of ``ranks(g)`` is the codomain rank of the
-    domain element of rank x."""
+    """A typed arrow; ``ranks(g)`` is its rank map, an intp array whose
+    entry x is the codomain rank of the domain element of rank x."""
 
     dom: Carrier
     cod: Carrier
@@ -414,13 +416,13 @@ class _Node:
 @dataclass(frozen=True)
 class _Id(_Node):
     def ranks(self, g):
-        return range(CarrierIndex(self.dom, g).size)
+        return np.arange(CarrierIndex(self.dom, g).size, dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class _Bang(_Node):
     def ranks(self, g):
-        return [0] * CarrierIndex(self.dom, g).size
+        return np.zeros(CarrierIndex(self.dom, g).size, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -428,7 +430,7 @@ class _Endpoint(_Node):
     column: int = 0  # 0 reads each edge's source, 1 its target
 
     def ranks(self, g):
-        return [e[self.column] for e in g.edges]
+        return np.fromiter(map(itemgetter(self.column), g.edges), dtype=np.intp, count=g.m)
 
 
 @dataclass(frozen=True)
@@ -444,7 +446,8 @@ class _Proj(_Node):
         for i in reversed(self.indices):
             weights[i - 1] += stride
             stride *= dims[i - 1]
-        return [sum(map(mul, coords, weights)) for coords in product(*map(range, dims))]
+        axes = np.ix_(*(np.arange(d, dtype=np.intp) * w for d, w in zip(dims, weights)))
+        return sum(axes).ravel()  # broadcast over the domain's dims, last fastest
 
 
 @dataclass(frozen=True)
@@ -453,7 +456,7 @@ class _Inj(_Node):
 
     def ranks(self, g):
         offset = CarrierIndex(self.cod, g).offsets[self.index - 1]
-        return range(offset, offset + CarrierIndex(self.dom, g).size)
+        return np.arange(offset, offset + CarrierIndex(self.dom, g).size, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -463,10 +466,7 @@ class _Copair(_Node):
     def ranks(self, g):
         # Branch k's domain is term k alone, so the branch maps stack in
         # the domain's term-major order.
-        out = []
-        for branch in self.branches:
-            out.extend(branch.ranks(g))
-        return out
+        return np.concatenate([branch.ranks(g) for branch in self.branches])
 
 
 @dataclass(frozen=True)
@@ -476,8 +476,7 @@ class _Chain(_Node):
     def ranks(self, g):
         out = self.steps[0].ranks(g)
         for step in self.steps[1:]:
-            table = step.ranks(g)
-            out = [table[r] for r in out]
+            out = step.ranks(g)[out]
         return out
 
 
@@ -654,4 +653,4 @@ def preimage(arrow: Arrow, e: Element, graph: GraphContext) -> list[Element]:
     """All domain elements mapping to e, in ascending canonical rank."""
     y = carrier_index(arrow.codomain, graph).rank(e)
     dom = carrier_index(arrow.domain, graph)
-    return [dom.element(x) for x, r in enumerate(arrow.node.ranks(graph)) if r == y]
+    return [dom.element(x) for x in np.flatnonzero(arrow.node.ranks(graph) == y).tolist()]

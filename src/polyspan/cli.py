@@ -150,20 +150,19 @@ def _default_inputs(span: PolynomialSpan, graph: GraphContext, s: Semiring,
     from .carrier import carrier_index
 
     idx = carrier_index(span.inputs, graph)
-    blocks = []
+    rows = []
     seeded = False
     for t, term in enumerate(span.inputs.terms):
-        count = idx.term_sizes[t]
         if term == ("E",):
-            blocks.append([(_weight_value(s, w),) for (_, _, w) in graph.edges])
+            rows.extend((_weight_value(s, w),) for (_, _, w) in graph.edges)
         elif term == ("V",) and source is not None and not seeded:
             if not (0 <= source < graph.n):
                 raise InputError(f"source {source} out of range for a graph with {graph.n} node(s)")
-            blocks.append([(s.one if u == source else s.zero,) for u in range(graph.n)])
+            rows.extend((s.one if u == source else s.zero,) for u in range(graph.n))
             seeded = True
         else:
-            blocks.append([(s.one,)] * count)
-    return DataMap.from_term_blocks(span.inputs, graph, blocks)
+            rows.extend([(s.one,)] * idx.term_sizes[t])
+    return DataMap(span.inputs, 1, rows)
 
 
 def _cmd_bellman_ford(ns) -> tuple[str, int]:

@@ -286,8 +286,7 @@ class _Groups:
     those groups are a prefix of ``perm``.
     """
 
-    def __init__(self, ranks, count: int):
-        ranks = np.fromiter(ranks, dtype=np.intp, count=len(ranks))
+    def __init__(self, ranks: np.ndarray, count: int):
         self.count = count
         self.sizes = np.bincount(ranks, minlength=count)
         self.order = np.argsort(ranks, kind="stable")
@@ -318,8 +317,7 @@ class _Tables:
         self.xi = carrier_index(span.arguments, g)
         self.yi = carrier_index(span.messages, g)
         self.zi = carrier_index(span.outputs, g)
-        ranks = span.input_map.node.ranks(g)
-        self.input_image = np.fromiter(ranks, dtype=np.intp, count=len(ranks))
+        self.input_image = span.input_map.node.ranks(g)
         self.fiber_groups = _Groups(span.process_map.node.ranks(g), self.yi.size)
         self.bucket_groups = _Groups(span.output_map.node.ranks(g), self.zi.size)
 

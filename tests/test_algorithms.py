@@ -189,6 +189,19 @@ class TestFloydWarshall:
                 for j in range(n):
                     assert d[i][j] is None or (step[i][j] is not None and step[i][j] <= d[i][j])
 
+    def test_matrix_is_checked_once(self, monkeypatch):
+        # The sweeps run on the engine's own arrays; only the caller's
+        # matrix is checked.
+        check, calls = algorithms._check_matrix, []
+
+        def counting_check(d):
+            calls.append(d)
+            return check(d)
+
+        monkeypatch.setattr(algorithms, "_check_matrix", counting_check)
+        assert floyd_warshall(G1_MATRIX) == ((0, 2, 5), (None, 0, 3), (None, None, 0))
+        assert calls == [G1_MATRIX]
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InputError):
             floyd_warshall(((0, 1), (1, 1)))

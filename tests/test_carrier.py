@@ -1,8 +1,11 @@
 """Carrier grammar, canonical enumeration, and arrow typechecking."""
 
 import random
+from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyspan import (
     ArrowTypeError,
@@ -20,7 +23,7 @@ from polyspan import (
     rank,
     size,
 )
-from polyspan.carrier import MAX_TERMS
+from polyspan.carrier import MAX_TERMS, Carrier, carrier_index
 
 
 class TestGraphContext:
@@ -30,9 +33,19 @@ class TestGraphContext:
         assert g1.source(1) == 0 and g1.target(1) == 2 and g1.weight(1) == 7
         assert not g1.full
 
-    def test_rejects_bad_endpoint(self):
+    @pytest.mark.parametrize("n,edges", [
+        pytest.param(2, ((0, 5, 1),), id="out-of-range"),
+        pytest.param(2, ((0.5, 1, 3),), id="float-source"),
+        pytest.param(2, ((0, 1.0, 3),), id="float-target"),
+        pytest.param(2, ((True, 1, 3),), id="bool-source"),
+        pytest.param(2, (("0", 1, 3),), id="str-source"),
+        pytest.param(2.0, (), id="float-n"),
+        pytest.param(True, (), id="bool-n"),
+        pytest.param("2", (), id="str-n"),
+    ])
+    def test_rejects_bad_endpoint(self, n, edges):
         with pytest.raises(InputError):
-            GraphContext(2, ((0, 5, 1),))
+            GraphContext(n, edges)
 
     def test_full_mode_edges(self):
         g = GraphContext.fully_connected(2, {(0, 1): 4})
@@ -297,3 +310,86 @@ class TestArrowErrors:
         a = build_arrow("id", V, V, g1)
         with pytest.raises(CarrierMismatchError):
             eval_arrow(a, Element(0, (9,)), g1)
+
+
+# --- rank maps ----------------------------------------------------------------
+
+# One arrow of every node kind, the dispatches of the shipped
+# Bellman-Ford span, a chain through a dispatch and one through src.
+ARROWS = [
+    ("id", "V", "V"),
+    ("bang", "V + E", "1"),
+    ("src", "E", "V"),
+    ("tgt", "E", "V"),
+    ("proj[2,1,2]", "V*E", "E*V*E"),
+    ("inj[2]", "E", "V + E"),
+    ("[inj[1]; inj[1].src; inj[2]; inj[3]]", "(V + E) + (V + E)", "V + (V + E)"),
+    ("[inj[1]; inj[2]; inj[1]; inj[2]]", "(V + E) + (V + E)", "V + E"),
+    ("[id; tgt]", "V + E", "V"),
+    ("proj[2,1].[proj[1,2]; proj[2,3]]", "V^3 + V^3", "V^2"),
+    ("bang.id.src", "E", "1"),
+]
+
+GRAPHS = [
+    GraphContext(0, ()),
+    GraphContext(3, ()),
+    GraphContext(3, ((0, 1, 2), (0, 2, 7), (1, 2, 3))),
+    GraphContext(2, ((1, 1, None), (1, 0, 4), (0, 1, None), (1, 0, 4))),
+]
+
+
+def _nodes(node):
+    yield node
+    for sub in getattr(node, "branches", ()) + getattr(node, "steps", ()):
+        yield from _nodes(sub)
+
+
+@st.composite
+def proj_arrows(draw):
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(0, 3)) if n else 0
+    g = GraphContext(n, tuple((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), 1) for _ in range(m)))
+    factors = draw(st.lists(st.sampled_from("VE"), min_size=1, max_size=4))
+    indices = draw(st.lists(st.integers(1, len(factors)), min_size=1, max_size=4))
+    dom = Carrier((tuple(factors),))
+    cod = Carrier((tuple(factors[i - 1] for i in indices),))
+    return build_arrow(f"proj[{','.join(map(str, indices))}]", dom, cod, g), g, indices
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(proj_arrows())
+def test_proj_ranks_are_mixed_radix_ranks(case):
+    arrow, g, indices = case
+    dims = carrier_index(arrow.domain, g).term_dims[0]
+    want = []
+    for coords in product(*map(range, dims)):
+        r = 0
+        for i in indices:
+            r = r * dims[i - 1] + coords[i - 1]
+        want.append(r)
+    assert arrow.node.ranks(g).tolist() == want
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+@pytest.mark.parametrize("spec,dom,cod", ARROWS)
+def test_every_node_gives_an_intp_array_over_its_domain(spec, dom, cod, g):
+    arrow = build_arrow(spec, parse_carrier(dom), parse_carrier(cod), g)
+    for node in _nodes(arrow.node):
+        ranks = node.ranks(g)
+        assert isinstance(ranks, np.ndarray) and ranks.dtype == np.intp
+        assert ranks.shape == (size(node.dom, g),)
+        assert ((0 <= ranks) & (ranks < size(node.cod, g))).all()
+
+
+@pytest.mark.parametrize("spec,dom,cod", ARROWS)
+def test_elements_have_python_int_coords(spec, dom, cod):
+    g = GRAPHS[-1]
+    arrow = build_arrow(spec, parse_carrier(dom), parse_carrier(cod), g)
+    dom_index, cod_index = carrier_index(arrow.domain, g), carrier_index(arrow.codomain, g)
+    found = [eval_arrow(arrow, dom_index.element(x), g) for x in range(dom_index.size)]
+    for y in range(cod_index.size):
+        found += preimage(arrow, cod_index.element(y), g)
+    found += [dom_index.element(np.intp(x)) for x in range(dom_index.size)]
+    assert found
+    for e in found:
+        assert type(e.term_index) is int and all(type(c) is int for c in e.coords)

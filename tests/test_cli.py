@@ -257,6 +257,15 @@ class TestRunSpanVariants:
         # Distances start at 0 everywhere, so one sweep keeps them at 0.
         assert out == "0\n0\n0\n"
 
+    def test_empty_input_carrier(self, tmp_path):
+        # No edges, so the input carrier E has no rows; every bucket of
+        # the two nodes is empty and reduces to the min-plus zero.
+        graph, span_file = tmp_path / "g.graph", tmp_path / "s.span"
+        graph.write_text("2 0\n")
+        span_file.write_text(json.dumps(
+            {"W": "E", "X": "E", "Y": "E", "Z": "V", "i": "id", "p": "id", "o": "tgt"}))
+        assert invoke(["run-span", "--graph", str(graph), "--span", str(span_file)]) == (0, "inf\ninf\n", "")
+
     def test_boolean_semiring(self, g1_file, fixtures_dir):
         span_file = str(fixtures_dir / "bellman_ford.span")
         code, out, err = invoke([

@@ -15,12 +15,13 @@ from polyspan import (
     PolynomialSpan,
     argument_pushforward,
     bellman_ford,
+    floyd_warshall,
     integral_transform,
     message_pushforward,
     pullback,
 )
 from polyspan.algebra import broken_semiring
-from polyspan.algorithms import BELLMAN_FORD_SPEC, oracle_bellman_ford
+from polyspan.algorithms import BELLMAN_FORD_SPEC, oracle_bellman_ford, oracle_floyd_warshall
 from polyspan.carrier import carrier_index
 
 SPECS = [
@@ -119,3 +120,23 @@ def test_bellman_ford_near_2_61_equals_the_oracle(n, data):
     g = GraphContext(n, edges)
     dist = bellman_ford(g, source)
     assert exact([dist]) == exact([oracle_bellman_ford(g, source)])
+
+
+def _chain_matrix(n, w):
+    return tuple(tuple(0 if i == j else (w if j == i + 1 else None) for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), data=st.data())
+# A 2^59 chain: the first sweep fits int64, the second misses the guard.
+@example(n=5, data=_chain_matrix(5, 2**59))
+# A 2^61 chain: object from the first sweep, and the last entry is 2^63.
+@example(n=5, data=_chain_matrix(5, 2**61))
+def test_floyd_warshall_near_2_62_equals_the_oracle(n, data):
+    if isinstance(data, tuple):
+        d = data
+    else:
+        entry = (st.none() | st.integers(2**59 - 8, 2**59 + 8) | st.integers(2**61 - 8, 2**61 + 8)
+                 | st.integers(0, 8))
+        d = tuple(tuple(0 if i == j else data.draw(entry) for j in range(n)) for i in range(n))
+    assert exact(floyd_warshall(d)) == exact(oracle_floyd_warshall(d))
