@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import MIN_PLUS, Value, tropical_add, tropical_min
 from .carrier import GraphContext
-from .errors import InputError
+from .errors import CarrierMismatchError, InputError
 from .span import (
     SPAN_CACHE_SIZE,
     DataMap,
@@ -92,11 +92,10 @@ def make_state(graph: GraphContext, distances: Sequence[Value]) -> DataMap:
     """The input table of one relaxation sweep: the distance vector, the
     standard zero bias and the graph's weights, stacked on the span's
     input carrier."""
-    return DataMap.from_term_blocks(bellman_ford_span(graph).inputs, graph, [
-        [(d,) for d in distances],
-        [(MIN_PLUS.one,)] * graph.n,
-        [(w,) for (_, _, w) in graph.edges],
-    ])
+    if len(distances) != graph.n:
+        raise CarrierMismatchError(f"expected {graph.n} distance(s), got {len(distances)}")
+    column = [*distances, *[MIN_PLUS.one] * graph.n, *(w for (_, _, w) in graph.edges)]
+    return DataMap._built(bellman_ford_span(graph).inputs, 1, tuple((v,) for v in column))
 
 
 def initial_distances(graph: GraphContext, source: int) -> list[Value]:

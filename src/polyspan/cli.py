@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import algorithms, gnn
-from .algebra import SEMIRINGS, Semiring, check_laws, law_samples
+from .algebra import SEMIRINGS, Semiring, check_laws, law_samples, tropical_min
 from .carrier import SIZE_CAP, GraphContext
 from .errors import InputError, PolyspanError
 from .span import DataMap, FoldStrategy, PolynomialSpan, integral_transform, load_span_file
@@ -45,7 +45,7 @@ def load_graph(path) -> GraphContext:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read graph file: {exc}") from None
     lines = [(k + 1, line.strip()) for k, line in enumerate(raw_lines) if line.strip()]
     if not lines:
@@ -92,13 +92,8 @@ def load_graph(path) -> GraphContext:
 
     if mode == "full":
         weights: dict = {}
-        for (u, v, w) in edges:
-            prior = weights.get((u, v))
-            # Parallel entries collapse to the cheapest.
-            if prior is None and (u, v) not in weights:
-                weights[(u, v)] = w
-            else:
-                weights[(u, v)] = w if prior is None else (prior if w is None else min(prior, w))
+        for (u, v, w) in edges:  # parallel entries collapse to the cheapest
+            weights[(u, v)] = tropical_min(weights.get((u, v)), w)
         return GraphContext.fully_connected(n, weights)
     return GraphContext(n, tuple(edges))
 
@@ -109,6 +104,8 @@ def load_span_spec(path, graph: GraphContext) -> PolynomialSpan:
         spec = load_span_file(path)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"cannot read span file: {exc}") from None
     try:
         span = PolynomialSpan.from_spec(spec, graph)
     except PolyspanError as exc:
@@ -238,6 +235,13 @@ _HANDLERS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: expected a non-negative integer")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polyspan", description="semiring transforms over polynomial spans")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -255,7 +259,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--source", type=int, required=(verb == "bellman-ford"),
                            default=None, help="source node")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+            p.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
         return p
 

@@ -317,41 +317,38 @@ def _pad_rows(rows, width: int, pad_width: int) -> list[tuple]:
 
 def _mlp_fold(mlp: MLP) -> Callable:
     def fold(rows):
-        x = np.concatenate([np.asarray(r, dtype=float) for r in rows])
-        return tuple(float(v) for v in mlp(x))
+        return mlp(rows.reshape(-1)).tolist()
     return fold
 
 
-def _aggregate(span: PolynomialSpan, messages: DataMap, cfg: LayerConfig) -> tuple:
+def _aggregate(span: PolynomialSpan, messages: DataMap, cfg: LayerConfig) -> np.ndarray:
     """Per output, the reduced message row; under max an output with no
     messages takes the floor row."""
     if cfg.aggregator == "sum":
-        return message_pushforward(span, REAL, messages).rows
-    agg = message_pushforward(span, MAX_PLUS, messages)
-    floor_row = (float(cfg.empty_floor),) * agg.width
-    sizes = span.compiled().bucket_groups.sizes.tolist()
-    return tuple(row if size else floor_row for row, size in zip(agg.rows, sizes))
+        return message_pushforward(span, REAL, messages)._encoded()[1]
+    _, agg = message_pushforward(span, MAX_PLUS, messages)._encoded()
+    sizes = span.compiled().bucket_groups.sizes
+    return np.where(sizes[:, None] > 0, agg, float(cfg.empty_floor))
 
 
-def _readout(mlp: MLP, feats, agg_rows) -> tuple:
-    out = []
-    for feat, agg in zip(feats, agg_rows):
-        x = np.concatenate([np.asarray(feat, dtype=float), np.asarray(agg, dtype=float)])
-        out.append(tuple(float(v) for v in mlp(x)))
-    return tuple(out)
+def _readout(mlp: MLP, feats: np.ndarray, agg: np.ndarray) -> tuple:
+    """One network call per row of (features, aggregate)."""
+    return tuple(tuple(mlp(x).tolist()) for x in np.hstack((feats, agg)))
 
 
 def _stack_inputs(span: PolynomialSpan, graph: GraphContext, cfg: LayerConfig,
                   node_feats, edge_feats, graph_feat) -> DataMap:
+    """The ``1 + V + E`` input table as one zero-padded float64 array."""
     _check_rows("node features", node_feats, graph.n, cfg.node_width)
     _check_rows("edge features", edge_feats, graph.m, cfg.edge_width)
     _check_rows("graph feature", [graph_feat], 1, cfg.graph_width)
-    c = cfg.pad_width
-    return DataMap.from_term_blocks(span.inputs, graph, [
-        _pad_rows([graph_feat], cfg.graph_width, c),
-        _pad_rows(node_feats, cfg.node_width, c),
-        _pad_rows(edge_feats, cfg.edge_width, c),
-    ])
+    table = np.zeros((1 + graph.n + graph.m, cfg.pad_width))
+    start = 0
+    for rows, width in (([graph_feat], cfg.graph_width), (node_feats, cfg.node_width),
+                        (edge_feats, cfg.edge_width)):
+        table[start:start + len(rows), :width] = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
+        start += len(rows)
+    return DataMap._built(span.inputs, cfg.pad_width, values=("float", table))
 
 
 def _mpnn_parts(graph: GraphContext, node_feats, edge_feats, graph_feat,
@@ -362,7 +359,8 @@ def _mpnn_parts(graph: GraphContext, node_feats, edge_feats, graph_feat,
     strategy = FoldStrategy.learned({4: _mlp_fold(params.message)}, width=cfg.msg_width)
     messages = argument_pushforward(span, REAL, strategy, pulled)
     agg = _aggregate(span, messages, cfg)
-    node_out = _readout(params.node_readout, node_feats, agg)
+    feats = stacked._encoded()[1][1:1 + graph.n, :cfg.node_width]
+    node_out = _readout(params.node_readout, feats, agg)
     return messages, DataMap(CARRIER_V, cfg.node_width, node_out)
 
 
@@ -461,8 +459,9 @@ def v3_forward(graph: GraphContext, node_feats, edge_feats, graph_feat,
     }, width=cfg.msg_width)
     messages = argument_pushforward(span, REAL, strategy, pulled)
     agg = _aggregate(span, messages, cfg)
-    node_out = _readout(params.node_readout, node_feats, agg[:n])
-    edge_out = _readout(params.edge_readout, edge_feats, agg[n:])
+    table = stacked._encoded()[1]
+    node_out = _readout(params.node_readout, table[1:1 + n, :cfg.node_width], agg[:n])
+    edge_out = _readout(params.edge_readout, table[1 + n:, :cfg.edge_width], agg[n:])
     return (
         DataMap(CARRIER_V, cfg.node_width, node_out),
         DataMap(_CARRIER_V2, cfg.edge_width, edge_out),

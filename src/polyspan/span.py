@@ -23,12 +23,12 @@ of the middle stages are available via ``argument_fiber_rows`` and
 
 Compiling a span turns its three arrows into index arrays: the input
 map's rank map, and the process and output maps grouped into fibers and
-buckets.  The stages then run as array operations: pullback is a
-gather, and a semiring fold or reduce is one positional loop whose step
-k combines the k-th member of every group that has one, which is the
-same left-to-right order as a per-group loop.  Tables travel between
-stages as arrays and decode to Python rows only when read (see
-``_encode`` for the exactness rules).
+buckets.  The stages then run as array operations: pullback is an
+array take, and a semiring fold or reduce is one positional loop whose
+step k combines the k-th member of every group that has one, which is
+the same left-to-right order as a per-group loop.  Tables travel
+between stages as one encoded array and decode to Python rows only when
+read (see ``_encode`` for the exactness rules).
 """
 
 from __future__ import annotations
@@ -145,19 +145,19 @@ class DataMap:
     """A dense table: one row of ``width`` values per carrier element,
     in canonical enumeration order.
 
-    A stage's output keeps its values as an array and decodes ``rows``
-    only when they are read; a pullback's output is a gather of its
-    input, made from whichever of the two the next stage reads.  Tables
-    are equal when their carriers, widths and rows are.
+    A table holds its rows, its encoded (kind, array) pair, or both; a
+    stage reads the array, encoding rows once, and a stage's output
+    holds only the array and decodes ``rows`` when they are read.
+    Tables are equal when their carriers, widths and rows are.
     """
 
-    __slots__ = ("carrier", "width", "_rows", "_values", "_gather")
+    __slots__ = ("carrier", "width", "_rows", "_values")
 
     def __init__(self, carrier: Carrier, width: int, rows):
         self.carrier = carrier
         self.width = width
         self._rows = rows
-        self._values = self._gather = None
+        self._values = None
         self.__post_init__()
 
     def __post_init__(self):
@@ -175,11 +175,7 @@ class DataMap:
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            if self._gather is not None and self._gather[0]._rows is not None:
-                source, index = self._gather
-                self._rows = tuple(map(source._rows.__getitem__, index.tolist()))
-            else:
-                self._rows = tuple(map(tuple, _decode(*self._encoded())))
+            self._rows = tuple(map(tuple, _decode(*self._values)))
         return self._rows
 
     def __eq__(self, other):
@@ -216,32 +212,22 @@ class DataMap:
 
     @classmethod
     def _built(cls, carrier: Carrier, width: int, rows: tuple | None = None,
-               values: tuple[str, np.ndarray] | None = None,
-               gather: tuple["DataMap", np.ndarray] | None = None) -> "DataMap":
-        """A table made by the engine from rows ``width`` wide, from an
-        encoded (kind, array) pair, or as the (source table, row index)
-        gather: only the width itself is checked."""
+               values: tuple[str, np.ndarray] | None = None) -> "DataMap":
+        """A table made by the engine from rows ``width`` wide or from an
+        encoded (kind, array) pair: only the width itself is checked."""
         if width < 1:
             raise CarrierMismatchError(f"width must be >= 1, got {width}")
         data = object.__new__(cls)
-        data.carrier, data.width, data._rows = carrier, width, rows
-        data._values, data._gather = values, gather
+        data.carrier, data.width, data._rows, data._values = carrier, width, rows, values
         return data
 
     def _encoded(self) -> tuple[str, np.ndarray]:
         if self._values is None:
-            if self._gather is not None:
-                source, index = self._gather
-                kind, array = source._encoded()
-                self._values = kind, array[index]
-            else:
-                self._values = _encode(self._rows, self.width)
+            self._values = _encode(self._rows, self.width)
         return self._values
 
     def _size(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        return len(self._gather[1] if self._gather is not None else self._values[1])
+        return len(self._rows if self._rows is not None else self._values[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,13 +236,16 @@ class FoldStrategy:
 
     ``semiring`` folds componentwise with ``times`` starting from
     ``one`` (an empty fiber yields the all-one row).  ``learned`` maps
-    each occurring fiber size to a function from the ordered rows to a
-    single row; all outputs must share one width.  ``width`` pins that
-    output width so a span with no message sites still types.
+    each occurring fiber size to a function from the ordered rows, a
+    ``(size, width)`` array whose ``tolist()`` gives the table's values
+    in value and type (float64 for a float table, else Python objects),
+    to a single row of Python values; all outputs must share one width.
+    ``width`` pins that output width so a span with no message sites
+    still types.
     """
 
     kind: str
-    folds: Mapping[int, Callable[[Sequence[Row]], Row]] | None = None
+    folds: Mapping[int, Callable[[np.ndarray], Row]] | None = None
     width: int | None = None
 
     @staticmethod
@@ -264,7 +253,7 @@ class FoldStrategy:
         return FoldStrategy("semiring")
 
     @staticmethod
-    def learned(folds: Mapping[int, Callable[[Sequence[Row]], Row]],
+    def learned(folds: Mapping[int, Callable[[np.ndarray], Row]],
                 width: int | None = None) -> "FoldStrategy":
         return FoldStrategy("learned", dict(folds), width)
 
@@ -476,7 +465,8 @@ def pullback(span: PolynomialSpan, inputs: DataMap) -> DataMap:
     """Copy each argument's input row across the input map."""
     t = span.compiled()
     _require_on(inputs, t.wi, "pullback")
-    return DataMap._built(span.arguments, inputs.width, gather=(inputs, t.input_image))
+    kind, array = inputs._encoded()
+    return DataMap._built(span.arguments, inputs.width, values=(kind, array[t.input_image]))
 
 
 def argument_fiber_rows(span: PolynomialSpan, arguments: DataMap) -> list[tuple]:
@@ -497,8 +487,10 @@ def argument_pushforward(span: PolynomialSpan, s: Semiring, strategy: FoldStrate
                               values=_combine(t.fiber_groups, s, False, arguments))
     if strategy.kind == "learned":
         groups = t.fiber_groups
-        rows = arguments.rows
-        ordered = list(map(rows.__getitem__, groups.order.tolist()))  # fiber after fiber
+        kind, array = arguments._encoded()
+        if kind != "float":
+            array = _as_object(kind, array)
+        ordered = array[groups.order]  # fiber after fiber
         folds = strategy.folds or {}
         out = []
         width = strategy.width
@@ -506,7 +498,7 @@ def argument_pushforward(span: PolynomialSpan, s: Semiring, strategy: FoldStrate
             fold = folds.get(size)
             if fold is None:
                 raise StrategyError(f"learned fold has no mapping for fiber size {size}")
-            row = tuple(fold(tuple(ordered[start:start + size])))
+            row = tuple(fold(ordered[start:start + size]))
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -6,6 +6,7 @@ import pytest
 
 from polyspan import (
     BOOLEAN,
+    CarrierMismatchError,
     FoldStrategy,
     GraphContext,
     InputError,
@@ -76,6 +77,22 @@ class TestBellmanFord:
         assert built == [[None, 0, None]]
         assert [s.rows for s in states] == [make(g1, d).rows for d in ([None, 0, None], [None, 0, 3])]
         assert all(s.carrier == bellman_ford_span(g1).inputs for s in states)
+
+    def test_state_is_built_without_the_per_row_check(self, g1, monkeypatch):
+        checks = []
+        post_init = DataMap.__post_init__
+
+        def counting(self):
+            checks.append(self.width)
+            post_init(self)
+
+        monkeypatch.setattr(DataMap, "__post_init__", counting)
+        assert bellman_ford(g1, 0) == [0, 2, 5]
+        assert checks == []
+        assert make_state(g1, [0, 2, 7]).rows == ((0,), (2,), (7,), (0,), (0,), (0,), (2,), (7,), (3,))
+        for distances in ([0, 2], [0, 2, 7, 9]):
+            with pytest.raises(CarrierMismatchError, match="expected 3 distance"):
+                make_state(g1, distances)
 
     def test_zero_weight_self_loop_is_inert(self, g1):
         looped = GraphContext(3, g1.edges + ((1, 1, 0),))

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from polyspan import InputError
+import polyspan
+from polyspan import BELLMAN_FORD_SPEC, InputError
 from polyspan.carrier import MAX_NESTING
 from polyspan.cli import deterministic_outputs, format_value, load_graph, run
 
@@ -48,10 +53,14 @@ class TestLoadGraph:
         assert g.full and g.m == 4
         assert g.weight(1) == 4 and g.weight(0) == 0 and g.weight(2) is None
 
-    def test_full_mode_duplicate_takes_min(self, tmp_path):
+    @pytest.mark.parametrize("weights, cheapest", [
+        (("9", "4"), 4), (("4", "9"), 4), (("inf", "4"), 4), (("4", "inf"), 4),
+        (("inf", "inf"), None), (("0", "inf", "3"), 0), (("inf",), None),
+    ])
+    def test_full_mode_duplicate_takes_min(self, tmp_path, weights, cheapest):
         p = tmp_path / "g.graph"
-        p.write_text("2 2 full\n0 1 9\n0 1 4\n")
-        assert load_graph(str(p)).weight(1) == 4
+        p.write_text(f"2 {len(weights)} full\n" + "".join(f"0 1 {w}\n" for w in weights))
+        assert load_graph(str(p)).weight(1) == cheapest
 
     def test_error_carries_line_number(self, tmp_path):
         p = tmp_path / "g.graph"
@@ -158,6 +167,43 @@ class TestExitCodes:
             "bellman-ford", "--graph", g1_file, "--source", "0", "--semiring", "real",
         ])
         assert code == 1 and "min-plus" in err
+
+    @pytest.mark.parametrize("case", ["graph-not-utf8", "span-missing", "span-is-a-directory",
+                                      "span-not-utf8", "span-nested-deeply"])
+    def test_unreadable_input_exits_two_without_traceback(self, g1_file, tmp_path, case):
+        graph, span = g1_file, tmp_path / "s.span"
+        if case == "graph-not-utf8":
+            graph = tmp_path / "bad.graph"
+            graph.write_bytes(b"3 0\n\xff\n")
+            span.write_text(json.dumps(BELLMAN_FORD_SPEC))
+        elif case == "span-is-a-directory":
+            span.mkdir()
+        elif case == "span-not-utf8":
+            span.write_bytes(b'{"W": "\xff"}')
+        elif case == "span-nested-deeply":
+            span.write_text("[" * 100_000 + "]" * 100_000)
+        src = str(Path(polyspan.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from polyspan.cli import main; main()",
+             "run-span", "--graph", str(graph), "--span", str(span)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot read {case.split('-')[0]} file: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["gnn-demo", "--graph", "G", "--seed", "-1"],
+        ["verify", "--seed", "-2"],
+        ["check-laws", "--seed", "-3"],
+        ["check-laws", "--seed", "x"],
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, g1_file, argv):
+        code, out, err = invoke([g1_file if a == "G" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: argument --seed: invalid seed")
 
     def test_missing_file_is_input_error(self):
         code, out, err = invoke(["bellman-ford", "--graph", "/no/such/file", "--source", "0"])
@@ -285,6 +331,21 @@ class TestDeterminism:
         ]
         assert all(code == 0 for _, code, _ in first)
         assert first == second
+
+    def test_outputs_are_pinned(self):
+        assert deterministic_outputs(0) == [
+            ("bellman-ford", 0, "0 0\n1 2\n2 5\n"),
+            ("floyd-warshall", 0, "0 2 5\ninf 0 3\ninf inf 0\n"),
+            ("run-span", 0, "0\n2\n7\n"),
+            ("check-laws", 0, "semiring real\n" + "".join(f"  {law}: pass\n" for law in (
+                "plus-identity", "plus-commutative", "plus-associative", "times-identity",
+                "times-associative", "distributive-left", "distributive-right",
+                "zero-annihilates", "reduce-singleton", "reduce-nested", "fold-singleton",
+                "fold-nested")) + "  all laws hold\n"),
+            ("gnn-demo", 0, "0.220198838 -0.171668854 0.422473964 0.133975682\n"
+                            "0.341150827 -0.213242681 0.587391875 0.584980231\n"
+                            "0.246679186 -0.0435029459 0.551899698 0.564012721\n"),
+        ]
 
     def test_gnn_demo_seed_sensitivity(self, g1_file):
         _, out0, _ = invoke(["gnn-demo", "--graph", g1_file, "--seed", "0"])

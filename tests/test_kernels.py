@@ -1,6 +1,8 @@
 """The array kernels of the semiring stages against a plain per-group
-left fold kept here, in value and in Python type."""
+left fold kept here, in value and in Python type, and the arrays that
+learned folds get against ``argument_fiber_rows``."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from polyspan import (
     FoldStrategy,
     GraphContext,
     PolynomialSpan,
+    argument_fiber_rows,
     argument_pushforward,
     bellman_ford,
     floyd_warshall,
@@ -102,6 +105,40 @@ def test_stages_equal_a_per_group_left_fold(case, data):
     assert exact(folded.rows) == exact(messages)
     assert exact(message_pushforward(span, s, folded).rows) == exact(outputs)
     assert exact(integral_transform(span, s, FoldStrategy.semiring(), table).rows) == exact(outputs)
+
+
+# Per case: the values of a table whose rows learned folds read.
+FOLD_VALUES = {
+    "float": st.floats(),
+    "int-none": st.none() | st.integers(-2**70, 2**70),
+    "bool": st.booleans(),
+    "mixed": st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_VALUES))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_learned_folds_get_each_fiber_as_an_array(case, data):
+    span = data.draw(spans())
+    width = data.draw(st.integers(1, 2))
+    count = carrier_index(span.inputs, span.graph).size
+    rows = data.draw(st.lists(st.tuples(*[FOLD_VALUES[case]] * width), min_size=count, max_size=count))
+    pulled = pullback(span, DataMap(span.inputs, width, rows))
+    calls = []
+
+    def fold(fiber):
+        calls.append(fiber)
+        return (len(fiber),)
+
+    sizes = range(max(map(len, span.compiled().fibers), default=0) + 1)
+    strategy = FoldStrategy.learned(dict.fromkeys(sizes, fold), width=1)
+    out = argument_pushforward(span, REAL, strategy, pulled)
+    expected = argument_fiber_rows(span, pulled)
+    assert all(type(c) is np.ndarray for c in calls)
+    assert [c.shape for c in calls] == [(len(e), width) for e in expected]
+    assert [exact(c.tolist()) for c in calls] == [exact(e) for e in expected]
+    assert out.rows == tuple((len(e),) for e in expected)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
