@@ -28,7 +28,6 @@ from .span import (
     FoldStrategy,
     PolynomialSpan,
     _as_object,
-    _decode,
     _encode,
     integral_transform,
 )
@@ -95,7 +94,7 @@ def make_state(graph: GraphContext, distances: Sequence[Value]) -> DataMap:
     if len(distances) != graph.n:
         raise CarrierMismatchError(f"expected {graph.n} distance(s), got {len(distances)}")
     column = [*distances, *[MIN_PLUS.one] * graph.n, *(w for (_, _, w) in graph.edges)]
-    return DataMap._built(bellman_ford_span(graph).inputs, 1, tuple((v,) for v in column))
+    return DataMap._built(bellman_ford_span(graph).inputs, _encode(column, 1))
 
 
 def initial_distances(graph: GraphContext, source: int) -> list[Value]:
@@ -109,20 +108,20 @@ def bellman_ford_step(graph: GraphContext, state: DataMap) -> DataMap:
     return integral_transform(bellman_ford_span(graph), MIN_PLUS, FoldStrategy.semiring(), state)
 
 
-def _relax(sweep, state: DataMap, head: int, sweeps: int) -> tuple[str, np.ndarray]:
+def _relax(sweep, state: DataMap, head: int, sweeps: int) -> np.ndarray:
     """Apply sweep to state until its first head rows stop changing, or
     sweeps times; each sweep's output array is the next head block of
     the input.  Returns the encoded head block, undecoded."""
-    kind, table = state._encoded()
+    table = state._values
     for _ in range(sweeps):
-        out_kind, new = sweep(state)._encoded()
-        if out_kind != kind:  # the overflow guard moved the sweep onto Python ints
-            kind, table, new = "object", _as_object(kind, table), _as_object(out_kind, new)
+        new = sweep(state)._values
+        if new.dtype != table.dtype:  # the overflow guard moved the sweep onto Python ints
+            table, new = _as_object(table), _as_object(new)
         if np.array_equal(new, table[:head]):
             break
         table = np.concatenate((new, table[head:]))
-        state = DataMap._built(state.carrier, 1, values=(kind, table))
-    return kind, table[:head]
+        state = DataMap._built(state.carrier, table)
+    return table[:head]
 
 
 def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
@@ -133,8 +132,8 @@ def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
     """
     check_tropical_weights(graph)
     state = make_state(graph, initial_distances(graph, source))
-    kind, dist = _relax(lambda s: bellman_ford_step(graph, s), state, graph.n, max(graph.n - 1, 0))
-    return _decode(kind, dist[:, 0])
+    dist = _relax(lambda s: bellman_ford_step(graph, s), state, graph.n, max(graph.n - 1, 0))
+    return _as_object(dist[:, 0]).tolist()
 
 
 def _check_matrix(d: Sequence[Sequence[Value]]) -> int:
@@ -161,11 +160,10 @@ def _floyd_warshall(d: Sequence[Sequence[Value]], sweeps: int) -> Matrix:
     never raises one: its result is already min(d, sweep)."""
     n = _check_matrix(d)
     span = floyd_warshall_span(n)
-    kind, array = _encode(d, n)
-    state = DataMap._built(span.inputs, 1, values=(kind, array.reshape(n * n, 1)))
-    kind, table = _relax(lambda s: integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), s),
-                         state, n * n, sweeps)
-    return tuple(map(tuple, _decode(kind, table.reshape(n, n))))
+    state = DataMap._built(span.inputs, _encode([w for row in d for w in row], 1))
+    table = _relax(lambda s: integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), s),
+                   state, n * n, sweeps)
+    return tuple(map(tuple, _as_object(table.reshape(n, n)).tolist()))
 
 
 def floyd_warshall_step(d: Sequence[Sequence[Value]]) -> Matrix:

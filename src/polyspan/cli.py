@@ -99,7 +99,7 @@ def load_graph(path) -> GraphContext:
 
 
 def load_span_spec(path, graph: GraphContext) -> PolynomialSpan:
-    """Read and validate a span file against one graph."""
+    """Read a span file and type it against one graph."""
     try:
         spec = load_span_file(path)
     except json.JSONDecodeError as exc:
@@ -110,9 +110,6 @@ def load_span_spec(path, graph: GraphContext) -> PolynomialSpan:
         span = PolynomialSpan.from_spec(spec, graph)
     except PolyspanError as exc:
         raise InputError(f"{path}: {exc}") from None
-    report = span.validate()
-    if not report.ok:
-        raise InputError(f"{path}: {'; '.join(report.issues)}")
     return span
 
 
@@ -335,3 +332,7 @@ def deterministic_outputs(seed: int = 0) -> list[tuple[str, int, str]]:
             code = run(argv, stdout=buf, stderr=errbuf)
             results.append((name, code, buf.getvalue()))
     return results
+
+
+if __name__ == "__main__":
+    main()

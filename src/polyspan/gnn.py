@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import MAX_PLUS, MIN_PLUS, REAL, tropical_add
-from .carrier import CARRIER_V, GraphContext, parse_carrier
+from .carrier import CARRIER_V, SIZE_CAP, Carrier, GraphContext, parse_carrier
 from .errors import InputError, MemoryCapError
 from .span import (
     SPAN_CACHE_SIZE,
@@ -237,9 +237,9 @@ class LayerConfig:
     """Shapes, reduction and seed for one message-passing layer.
 
     ``aggregator`` is "sum" or "max"; with "max" an output that
-    receives no messages takes ``empty_floor`` in every channel.
-    ``memory_cap`` bounds the number of values the layer may
-    materialise (the triple layer scales as n^3 * width).
+    receives no messages takes ``empty_floor`` in every channel.  The
+    triple layer materialises n^3 * width values and refuses to run
+    past the carrier size cap, ``SIZE_CAP``.
     """
 
     node_width: int = 4
@@ -250,7 +250,6 @@ class LayerConfig:
     aggregator: str = "sum"
     seed: int = 0
     empty_floor: float = 0.0
-    memory_cap: int = 10_000_000
 
     def __post_init__(self):
         if self.aggregator not in ("sum", "max"):
@@ -325,15 +324,18 @@ def _aggregate(span: PolynomialSpan, messages: DataMap, cfg: LayerConfig) -> np.
     """Per output, the reduced message row; under max an output with no
     messages takes the floor row."""
     if cfg.aggregator == "sum":
-        return message_pushforward(span, REAL, messages)._encoded()[1]
-    _, agg = message_pushforward(span, MAX_PLUS, messages)._encoded()
+        return message_pushforward(span, REAL, messages)._values
+    agg = message_pushforward(span, MAX_PLUS, messages)._values
     sizes = span.compiled().bucket_groups.sizes
     return np.where(sizes[:, None] > 0, agg, float(cfg.empty_floor))
 
 
-def _readout(mlp: MLP, feats: np.ndarray, agg: np.ndarray) -> tuple:
-    """One network call per row of (features, aggregate)."""
-    return tuple(tuple(mlp(x).tolist()) for x in np.hstack((feats, agg)))
+def _readout(mlp: MLP, carrier: Carrier, feats: np.ndarray, agg: np.ndarray) -> DataMap:
+    """The float64 table on carrier of one network call per row of
+    (features, aggregate)."""
+    rows = np.hstack((feats, agg))
+    out = np.array([mlp(x) for x in rows]).reshape(len(rows), mlp.out_width)
+    return DataMap._built(carrier, out)
 
 
 def _stack_inputs(span: PolynomialSpan, graph: GraphContext, cfg: LayerConfig,
@@ -348,7 +350,7 @@ def _stack_inputs(span: PolynomialSpan, graph: GraphContext, cfg: LayerConfig,
                         (edge_feats, cfg.edge_width)):
         table[start:start + len(rows), :width] = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
         start += len(rows)
-    return DataMap._built(span.inputs, cfg.pad_width, values=("float", table))
+    return DataMap._built(span.inputs, table)
 
 
 def _mpnn_parts(graph: GraphContext, node_feats, edge_feats, graph_feat,
@@ -359,9 +361,8 @@ def _mpnn_parts(graph: GraphContext, node_feats, edge_feats, graph_feat,
     strategy = FoldStrategy.learned({4: _mlp_fold(params.message)}, width=cfg.msg_width)
     messages = argument_pushforward(span, REAL, strategy, pulled)
     agg = _aggregate(span, messages, cfg)
-    feats = stacked._encoded()[1][1:1 + graph.n, :cfg.node_width]
-    node_out = _readout(params.node_readout, feats, agg)
-    return messages, DataMap(CARRIER_V, cfg.node_width, node_out)
+    feats = stacked._values[1:1 + graph.n, :cfg.node_width]
+    return messages, _readout(params.node_readout, CARRIER_V, feats, agg)
 
 
 def mpnn_forward(graph: GraphContext, node_feats, edge_feats, graph_feat,
@@ -445,9 +446,9 @@ def v3_forward(graph: GraphContext, node_feats, edge_feats, graph_feat,
         raise InputError("the triple layer needs the fully-connected graph")
     n = graph.n
     needed = _v3_memory(n, cfg)
-    if needed > cfg.memory_cap:
+    if needed > SIZE_CAP:
         raise MemoryCapError(
-            f"triple layer would materialise {needed} values (n^3 scaling); cap is {cfg.memory_cap}"
+            f"triple layer would materialise {needed} values (n^3 scaling); cap is {SIZE_CAP}"
         )
     params = params or V3Params.from_config(cfg)
     span = v3_span(n)
@@ -459,12 +460,10 @@ def v3_forward(graph: GraphContext, node_feats, edge_feats, graph_feat,
     }, width=cfg.msg_width)
     messages = argument_pushforward(span, REAL, strategy, pulled)
     agg = _aggregate(span, messages, cfg)
-    table = stacked._encoded()[1]
-    node_out = _readout(params.node_readout, table[1:1 + n, :cfg.node_width], agg[:n])
-    edge_out = _readout(params.edge_readout, table[1 + n:, :cfg.edge_width], agg[n:])
+    table = stacked._values
     return (
-        DataMap(CARRIER_V, cfg.node_width, node_out),
-        DataMap(_CARRIER_V2, cfg.edge_width, edge_out),
+        _readout(params.node_readout, CARRIER_V, table[1:1 + n, :cfg.node_width], agg[:n]),
+        _readout(params.edge_readout, _CARRIER_V2, table[1 + n:, :cfg.edge_width], agg[n:]),
     )
 
 

@@ -26,9 +26,9 @@ map's rank map, and the process and output maps grouped into fibers and
 buckets.  The stages then run as array operations: pullback is an
 array take, and a semiring fold or reduce is one positional loop whose
 step k combines the k-th member of every group that has one, which is
-the same left-to-right order as a per-group loop.  Tables travel
-between stages as one encoded array and decode to Python rows only when
-read (see ``_encode`` for the exactness rules).
+the same left-to-right order as a per-group loop.  A table is one
+array whose dtype is its encoding (see ``_encode`` for the exactness
+rules); it decodes to Python rows only when read.
 """
 
 from __future__ import annotations
@@ -70,19 +70,22 @@ SPAN_CACHE_SIZE = 32
 _UNREACHABLE = int(np.iinfo(np.int64).max)
 
 
-def _encode(rows, width: int) -> tuple[str, np.ndarray]:
-    """A table's values as a (kind, array) pair with one row per table
-    row.  The kind follows the exact Python types of the values: "float"
-    (float64), "bool", "int" (int64, None stored as _UNREACHABLE; no
-    value may be past int64 or equal to that sentinel), and otherwise
-    "object", which holds the values themselves.  Decoding gives back
-    values equal in value and in type."""
-    flat = list(chain.from_iterable(rows))
+def _encode(flat, width: int) -> np.ndarray:
+    """A table's values, listed row after row, as one array ``width``
+    wide whose dtype says how to decode it: float64 (Python or numpy
+    floats), bool, int64 (Python ints and None, stored as _UNREACHABLE;
+    no value may be past int64 or equal to that sentinel), and
+    otherwise object, which holds the values themselves.  Decoding gives
+    back values equal in value and in type, numpy floats as float."""
+    flat = list(flat)
+    # A width-0 table (a fold or hook that returned empty rows) has no
+    # values; _built rejects it.
+    shape = (len(flat) // max(width, 1), width)
     types = set(map(type, flat))
-    if types == {float}:
-        return "float", np.array(flat, dtype=np.float64).reshape(len(rows), width)
+    if types and types <= {float, np.float64}:
+        return np.array(flat, dtype=np.float64).reshape(shape)
     if types == {bool}:
-        return "bool", np.array(flat, dtype=np.bool_).reshape(len(rows), width)
+        return np.array(flat, dtype=np.bool_).reshape(shape)
     if types and types <= {int, type(None)}:
         try:
             array = np.array([_UNREACHABLE if v is None else v for v in flat], dtype=np.int64)
@@ -90,23 +93,18 @@ def _encode(rows, width: int) -> tuple[str, np.ndarray]:
             pass
         else:
             if np.count_nonzero(array == _UNREACHABLE) == flat.count(None):
-                return "int", array.reshape(len(rows), width)
-    return "object", np.fromiter(flat, dtype=object, count=len(flat)).reshape(len(rows), width)
+                return array.reshape(shape)
+    return np.fromiter(flat, dtype=object, count=len(flat)).reshape(shape)
 
 
-def _as_object(kind: str, array: np.ndarray) -> np.ndarray:
+def _as_object(array: np.ndarray) -> np.ndarray:
     """The array's values as Python objects."""
-    if kind == "object":
+    if array.dtype == object:
         return array
     values = array.astype(object)
-    if kind == "int":
+    if array.dtype == np.int64:
         values[array == _UNREACHABLE] = None
     return values
-
-
-def _decode(kind: str, array: np.ndarray) -> list:
-    """The array's values as nested lists of Python values."""
-    return _as_object(kind, array).tolist()
 
 
 def _fits(array: np.ndarray, group_size: int) -> bool:
@@ -130,14 +128,14 @@ def _first_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-# Per semiring: the array kind its values must have for the array
-# kernel, then its plus and times on arrays of that kind.  Any other
-# semiring, kind, or a guard miss runs the semiring's own functions.
+# Per semiring: the dtype its values must have for the array kernel,
+# then its plus and times on arrays of that dtype.  Any other semiring,
+# dtype, or a guard miss runs the semiring's own functions.
 _KERNELS = {
-    MIN_PLUS: ("int", np.minimum, _tropical_times),
-    REAL: ("float", np.add, np.multiply),
-    MAX_PLUS: ("float", _first_max, np.add),
-    BOOLEAN: ("bool", np.logical_or, np.logical_and),
+    MIN_PLUS: (np.dtype(np.int64), np.minimum, _tropical_times),
+    REAL: (np.dtype(np.float64), np.add, np.multiply),
+    MAX_PLUS: (np.dtype(np.float64), _first_max, np.add),
+    BOOLEAN: (np.dtype(np.bool_), np.logical_or, np.logical_and),
 }
 
 
@@ -145,10 +143,9 @@ class DataMap:
     """A dense table: one row of ``width`` values per carrier element,
     in canonical enumeration order.
 
-    A table holds its rows, its encoded (kind, array) pair, or both; a
-    stage reads the array, encoding rows once, and a stage's output
-    holds only the array and decodes ``rows`` when they are read.
-    Tables are equal when their carriers, widths and rows are.
+    A table holds its values as one array, encoded by ``_encode``;
+    ``rows`` decodes it on first read and keeps the result.  Tables are
+    equal when their carriers, widths and rows are.
     """
 
     __slots__ = ("carrier", "width", "_rows", "_values")
@@ -157,7 +154,6 @@ class DataMap:
         self.carrier = carrier
         self.width = width
         self._rows = rows
-        self._values = None
         self.__post_init__()
 
     def __post_init__(self):
@@ -171,11 +167,12 @@ class DataMap:
                 raise CarrierMismatchError(
                     f"row of length {len(r)} in a table of width {self.width}"
                 )
+        self._values = _encode(chain.from_iterable(self._rows), self.width)
 
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            self._rows = tuple(map(tuple, _decode(*self._values)))
+            self._rows = tuple(map(tuple, _as_object(self._values).tolist()))
         return self._rows
 
     def __eq__(self, other):
@@ -211,23 +208,15 @@ class DataMap:
         return cls(carrier, len(rows[0]), rows)
 
     @classmethod
-    def _built(cls, carrier: Carrier, width: int, rows: tuple | None = None,
-               values: tuple[str, np.ndarray] | None = None) -> "DataMap":
-        """A table made by the engine from rows ``width`` wide or from an
-        encoded (kind, array) pair: only the width itself is checked."""
+    def _built(cls, carrier: Carrier, values: np.ndarray) -> "DataMap":
+        """A table made by the engine from its encoded array, one row per
+        element: only the width, ``values.shape[1]``, is checked."""
+        width = values.shape[1]
         if width < 1:
             raise CarrierMismatchError(f"width must be >= 1, got {width}")
         data = object.__new__(cls)
-        data.carrier, data.width, data._rows, data._values = carrier, width, rows, values
+        data.carrier, data.width, data._rows, data._values = carrier, width, None, values
         return data
-
-    def _encoded(self) -> tuple[str, np.ndarray]:
-        if self._values is None:
-            self._values = _encode(self._rows, self.width)
-        return self._values
-
-    def _size(self) -> int:
-        return len(self._rows if self._rows is not None else self._values[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +228,8 @@ class FoldStrategy:
     each occurring fiber size to a function from the ordered rows, a
     ``(size, width)`` array whose ``tolist()`` gives the table's values
     in value and type (float64 for a float table, else Python objects),
-    to a single row of Python values; all outputs must share one width.
+    to a single row of values, which are encoded like a table's (numpy
+    floats as float); all outputs must share one width.
     ``width`` pins that output width so a span with no message sites
     still types.
     """
@@ -422,29 +412,30 @@ def _require_on(data: DataMap, index: CarrierIndex, stage: str):
         raise CarrierMismatchError(
             f"{stage}: table is on {data.carrier.text()}, expected {index.carrier.text()}"
         )
-    if data._size() != index.size:
+    if len(data._values) != index.size:
         raise CarrierMismatchError(
-            f"table has {data._size()} rows but {index.carrier.text()} has "
+            f"table has {len(data._values)} rows but {index.carrier.text()} has "
             f"{index.size} elements on this graph"
         )
 
 
-def _combine(groups: _Groups, s: Semiring, plus: bool, data: DataMap) -> tuple[str, np.ndarray]:
+def _combine(groups: _Groups, s: Semiring, plus: bool, data: DataMap) -> np.ndarray:
     """Combine the rows of each group componentwise with ``s.plus`` (or
     ``s.times``), left to right; an empty group yields the all-identity
     row.  Step k of the loop combines the k-th member of every group
     that has one.  The semiring's array kernel runs when the table has
-    its kind and, for int64, the overflow guard passes; otherwise the
+    its dtype and, for int64, the overflow guard passes; otherwise the
     semiring's own functions run on the values as Python objects."""
-    kind, array = data._encoded()
+    array = data._values
     identity = s.zero if plus else s.one
     kernel = _KERNELS.get(s)
-    if kernel is not None and kernel[0] == kind and (kind != "int" or _fits(array, groups.largest)):
+    if kernel is not None and kernel[0] == array.dtype and (
+            array.dtype != np.int64 or _fits(array, groups.largest)):
         op = kernel[1] if plus else kernel[2]
         if identity is None:
             identity = _UNREACHABLE
     else:
-        kind, array = "object", _as_object(kind, array)
+        array = _as_object(array)
         op = np.frompyfunc(s.plus if plus else s.times, 2, 1)
     acc = np.empty((groups.count, data.width), dtype=array.dtype)
     steps = groups.steps
@@ -458,15 +449,14 @@ def _combine(groups: _Groups, s: Semiring, plus: bool, data: DataMap) -> tuple[s
             part[...] = op(part, array[members])
     out = np.empty_like(acc)
     out[groups.perm] = acc
-    return kind, out
+    return out
 
 
 def pullback(span: PolynomialSpan, inputs: DataMap) -> DataMap:
     """Copy each argument's input row across the input map."""
     t = span.compiled()
     _require_on(inputs, t.wi, "pullback")
-    kind, array = inputs._encoded()
-    return DataMap._built(span.arguments, inputs.width, values=(kind, array[t.input_image]))
+    return DataMap._built(span.arguments, inputs._values[t.input_image])
 
 
 def argument_fiber_rows(span: PolynomialSpan, arguments: DataMap) -> list[tuple]:
@@ -483,16 +473,15 @@ def argument_pushforward(span: PolynomialSpan, s: Semiring, strategy: FoldStrate
     t = span.compiled()
     _require_on(arguments, t.xi, "argument pushforward")
     if strategy.kind == "semiring":
-        return DataMap._built(span.messages, arguments.width,
-                              values=_combine(t.fiber_groups, s, False, arguments))
+        return DataMap._built(span.messages, _combine(t.fiber_groups, s, False, arguments))
     if strategy.kind == "learned":
         groups = t.fiber_groups
-        kind, array = arguments._encoded()
-        if kind != "float":
-            array = _as_object(kind, array)
+        array = arguments._values
+        if array.dtype != np.float64:
+            array = _as_object(array)
         ordered = array[groups.order]  # fiber after fiber
         folds = strategy.folds or {}
-        out = []
+        flat = []
         width = strategy.width
         for start, size in zip(groups.starts.tolist(), groups.sizes.tolist()):
             fold = folds.get(size)
@@ -505,10 +494,10 @@ def argument_pushforward(span: PolynomialSpan, s: Semiring, strategy: FoldStrate
                 raise StrategyError(
                     f"learned fold output width changed from {width} to {len(row)}"
                 )
-            out.append(row)
+            flat.extend(row)
         if width is None:
             raise StrategyError("no messages to fold; cannot infer output width")
-        return DataMap._built(span.messages, width, tuple(out))
+        return DataMap._built(span.messages, _encode(flat, width))
     raise StrategyError(f"unknown fold strategy {strategy.kind!r}")
 
 
@@ -533,13 +522,13 @@ def message_pushforward(span: PolynomialSpan, s: Semiring, messages: DataMap,
     t = span.compiled()
     _require_on(messages, t.yi, "message pushforward")
     if hook is not None:
-        rows = tuple(tuple(hook(r)) for r in messages.rows)
+        rows = [tuple(hook(r)) for r in messages.rows]
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise StrategyError("hook produced rows of differing widths")
-        messages = DataMap._built(span.messages, len(rows[0]) if rows else messages.width, rows)
-    return DataMap._built(span.outputs, messages.width,
-                          values=_combine(t.bucket_groups, s, True, messages))
+        width = widths.pop() if widths else messages.width
+        messages = DataMap._built(span.messages, _encode(chain.from_iterable(rows), width))
+    return DataMap._built(span.outputs, _combine(t.bucket_groups, s, True, messages))
 
 
 def integral_transform(span: PolynomialSpan, s: Semiring, strategy: FoldStrategy,

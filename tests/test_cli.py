@@ -322,6 +322,26 @@ class TestRunSpanVariants:
         assert out == "true\ntrue\ntrue\n"
 
 
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        ["bellman-ford", "--graph", "g1.graph", "--source", "0"],
+        ["floyd-warshall", "--graph", "g1.graph"],
+        ["run-span", "--graph", "g1.graph", "--span", "bellman_ford.span", "--source", "0"],
+        ["gnn-demo", "--graph", "g1.graph", "--seed", "1"],
+    ])
+    def test_python_m_prints_what_run_prints(self, fixtures_dir, argv):
+        argv = [str(fixtures_dir / a) if a.endswith((".graph", ".span")) else a for a in argv]
+        src = str(Path(polyspan.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyspan.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "") and out
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 class TestDeterminism:
     def test_two_runs_are_byte_identical(self):
         first = deterministic_outputs(0)

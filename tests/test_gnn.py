@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyspan import (
+    DataMap,
     GraphContext,
     InputError,
     LayerConfig,
@@ -200,12 +201,33 @@ class TestPairAndTripleLayers:
         assert len(edge_out.rows) == 9 and edge_out.width == cfg.edge_width
 
     def test_v3_memory_cap(self):
+        # (4*16 + 7*64) * 20000 argument values and 80 * 4 message
+        # values: 10,240,320, over the cap of 10,000,000.
         g = GraphContext.fully_connected(4)
-        cfg = LayerConfig(memory_cap=10)
+        cfg = LayerConfig(node_width=20_000)
         rng = np.random.default_rng(7)
         node, edge, gf = features(rng, g, cfg)
-        with pytest.raises(MemoryCapError):
+        with pytest.raises(MemoryCapError, match="10240320 values"):
             v3_forward(g, node, edge, gf, cfg)
+
+    def test_layers_run_no_per_row_check(self, monkeypatch):
+        checks = []
+        post_init = DataMap.__post_init__
+
+        def counting(self):
+            checks.append(self.width)
+            post_init(self)
+
+        monkeypatch.setattr(DataMap, "__post_init__", counting)
+        cfg = LayerConfig(seed=2)
+        rng = np.random.default_rng(8)
+        g = GraphContext.fully_connected(3)
+        node, edge, gf = features(rng, g, cfg)
+        node_out = mpnn_forward(g, node, edge, gf, cfg)
+        assert v2_forward(g, node, edge, gf, cfg)[0] == node_out
+        v3_node, v3_edge = v3_forward(g, node, edge, gf, cfg)
+        assert checks == []
+        assert all(type(v) is float for out in (node_out, v3_node, v3_edge) for row in out.rows for v in row)
 
 
 G1_MATRIX = ((0, 2, 7), (None, 0, 3), (None, None, 0))

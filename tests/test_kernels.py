@@ -141,6 +141,25 @@ def test_learned_folds_get_each_fiber_as_an_array(case, data):
     assert out.rows == tuple((len(e),) for e in expected)
 
 
+def test_learned_fold_of_numpy_floats_gives_python_floats(g1):
+    # A fold that reads its float64 slice returns numpy floats; they
+    # encode as float64, so the reduce runs the array kernel and the
+    # tables decode to Python floats.
+    span = PolynomialSpan.from_spec(
+        {"W": "E", "X": "E + E", "Y": "E", "Z": "V", "i": "[id; id]", "p": "[id; id]", "o": "tgt"}, g1)
+    table = DataMap(span.inputs, 1, ((2.0,), (7.0,), (3.0,)))
+
+    def fold(rows):
+        return (rows[0][0] + rows[1][0],)
+
+    strategy = FoldStrategy.learned({2: fold})
+    messages = argument_pushforward(span, REAL, strategy, pullback(span, table))
+    fibers = argument_fiber_rows(span, pullback(span, table))
+    assert exact(messages.rows) == exact(fold(f) for f in fibers)
+    out = integral_transform(span, REAL, strategy, table)
+    assert exact(out.rows) == exact(((0.0,), (4.0,), (20.0,)))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 6), data=st.data())
 @example(n=5, data=None)  # a path whose last distance, 2^63, is past int64
