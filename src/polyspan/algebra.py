@@ -64,17 +64,16 @@ class Semiring:
     one: Value
     plus: Callable[[Value, Value], Value]
     times: Callable[[Value, Value], Value]
-    times_commutative: bool = True
     value_kind: str = "real"
 
     def __repr__(self):
         return f"Semiring({self.name!r})"
 
 
-MIN_PLUS = Semiring("min-plus", None, 0, tropical_min, tropical_add, True, "tropical-nat")
-REAL = Semiring("real", 0.0, 1.0, operator.add, operator.mul, True, "real")
-MAX_PLUS = Semiring("max-plus", float("-inf"), 0.0, max, operator.add, True, "max-plus-real")
-BOOLEAN = Semiring("bool", False, True, operator.or_, operator.and_, True, "boolean")
+MIN_PLUS = Semiring("min-plus", None, 0, tropical_min, tropical_add, "tropical-nat")
+REAL = Semiring("real", 0.0, 1.0, operator.add, operator.mul, "real")
+MAX_PLUS = Semiring("max-plus", float("-inf"), 0.0, max, operator.add, "max-plus-real")
+BOOLEAN = Semiring("bool", False, True, operator.or_, operator.and_, "boolean")
 
 SEMIRINGS = {s.name: s for s in (MIN_PLUS, REAL, MAX_PLUS, BOOLEAN)}
 
@@ -85,7 +84,7 @@ ABS_TOL = 1e-12
 
 def broken_semiring() -> Semiring:
     """Negative control for the law checker: subtraction is not associative."""
-    return Semiring("broken-minus", 0.0, 1.0, operator.sub, operator.mul, True, "real")
+    return Semiring("broken-minus", 0.0, 1.0, operator.sub, operator.mul, "real")
 
 
 def values_close(kind: str, a: Value, b: Value) -> bool:

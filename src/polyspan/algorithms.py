@@ -3,7 +3,7 @@
 Single-source distances run over a span whose inputs stack the current
 distance table, a per-node bias, and the edge weights; one transform is
 one simultaneous relaxation of every node.  All-pairs distances run on
-the fully-connected square carrier, where each transform squares the
+the square carrier V^2 of n nodes, where each transform squares the
 path lengths covered so far, so a logarithmic number of sweeps reaches
 the fixpoint.
 
@@ -72,8 +72,8 @@ def bellman_ford_span(graph: GraphContext) -> PolynomialSpan:
 
 @lru_cache(maxsize=SPAN_CACHE_SIZE)
 def floyd_warshall_span(n: int) -> PolynomialSpan:
-    """The all-pairs relaxation span on the fully-connected graph of n nodes."""
-    return PolynomialSpan.from_spec(FLOYD_WARSHALL_SPEC, GraphContext.fully_connected(n))
+    """The all-pairs relaxation span on n nodes; no arrow reads an edge, so it has none."""
+    return PolynomialSpan.from_spec(FLOYD_WARSHALL_SPEC, GraphContext(n))
 
 
 def check_tropical_weights(graph: GraphContext):
@@ -93,8 +93,9 @@ def make_state(graph: GraphContext, distances: Sequence[Value]) -> DataMap:
     input carrier."""
     if len(distances) != graph.n:
         raise CarrierMismatchError(f"expected {graph.n} distance(s), got {len(distances)}")
+    span = bellman_ford_span(graph)  # the size cap, before the 2n + m column
     column = [*distances, *[MIN_PLUS.one] * graph.n, *(w for (_, _, w) in graph.edges)]
-    return DataMap._built(bellman_ford_span(graph).inputs, _encode(column, 1))
+    return DataMap._built(span.inputs, _encode(column, 1))
 
 
 def initial_distances(graph: GraphContext, source: int) -> list[Value]:

@@ -179,6 +179,7 @@ def _cmd_floyd_warshall(ns) -> tuple[str, int]:
     if ns.semiring != "min-plus":
         raise UsageError("floyd-warshall runs over min-plus only")
     g = load_graph(ns.graph)
+    algorithms.floyd_warshall_span(g.n)  # the size cap, before the n*n matrix
     out = algorithms.floyd_warshall(_matrix_from_graph(g))
     return "".join(" ".join(format_value(v) for v in row) + "\n" for row in out), 0
 
@@ -200,6 +201,7 @@ def _cmd_check_laws(ns) -> tuple[str, int]:
 
 def _cmd_gnn_demo(ns) -> tuple[str, int]:
     g = load_graph(ns.graph)
+    gnn.mpnn_span(g)  # the size cap, before the feature draw
     cfg = gnn.LayerConfig(seed=ns.seed)
     rng = np.random.default_rng(ns.seed)
     node = [tuple(float(v) for v in rng.uniform(-1.0, 1.0, cfg.node_width)) for _ in range(g.n)]

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import MAX_PLUS, MIN_PLUS, REAL, tropical_add
+from .algorithms import _check_matrix
 from .carrier import CARRIER_V, SIZE_CAP, Carrier, GraphContext, parse_carrier
 from .errors import InputError, MemoryCapError
 from .span import (
@@ -34,6 +35,8 @@ from .span import (
     DataMap,
     FoldStrategy,
     PolynomialSpan,
+    _as_object,
+    _encode,
     argument_pushforward,
     integral_transform,
     message_pushforward,
@@ -84,7 +87,8 @@ def mpnn_span(graph: GraphContext) -> PolynomialSpan:
 
 @lru_cache(maxsize=SPAN_CACHE_SIZE)
 def v3_span(n: int) -> PolynomialSpan:
-    return PolynomialSpan.from_spec(V3_SPEC, GraphContext.fully_connected(n))
+    """The triple layer's span on n nodes; no arrow reads an edge, so it has none."""
+    return PolynomialSpan.from_spec(V3_SPEC, GraphContext(n))
 
 
 def naive_edge_update_span(n: int) -> PolynomialSpan:
@@ -473,23 +477,16 @@ def v3_fw_step(d) -> tuple:
     Distances ride in the single channel of the edge slots; the triple
     fold adds the two path broadcasts (positions 5 and 6 of the fiber,
     the edges (1,2) and (2,3) of the triple); reduction over the middle
-    coordinate is min.  The result is exactly one all-pairs relaxation
-    sweep of the input matrix.
+    coordinate is min.  The result equals ``floyd_warshall_step(d)`` in
+    value and type, and bad input raises the same ``InputError``.
     """
-    n = len(d)
-    for i, row in enumerate(d):
-        if len(row) != n:
-            raise InputError(f"distance matrix row {i} has {len(row)} entries, expected {n}")
+    n = _check_matrix(d)
     span = v3_span(n)
-    stacked = DataMap.from_term_blocks(span.inputs, span.graph, [
-        [(MIN_PLUS.one,)],
-        [(MIN_PLUS.one,)] * n,
-        [(w,) for row in d for w in row],
-    ])
+    column = [MIN_PLUS.one] * (1 + n) + [w for row in d for w in row]
+    stacked = DataMap._built(span.inputs, _encode(column, 1))
     strategy = FoldStrategy.learned({
         4: lambda rows: (MIN_PLUS.one,),
         7: lambda rows: (tropical_add(rows[4][0], rows[5][0]),),
     }, width=1)
-    out = integral_transform(span, MIN_PLUS, strategy, stacked)
-    pair_rows = out.rows[n:]
-    return tuple(tuple(pair_rows[i * n + j][0] for j in range(n)) for i in range(n))
+    out = integral_transform(span, MIN_PLUS, strategy, stacked)._values[n:]
+    return tuple(map(tuple, _as_object(out.reshape(n, n)).tolist()))

@@ -128,9 +128,9 @@ def _first_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-# Per semiring: the dtype its values must have for the array kernel,
-# then its plus and times on arrays of that dtype.  Any other semiring,
-# dtype, or a guard miss runs the semiring's own functions.
+# Per semiring: the dtype of its array kernel, then its plus and times.
+# Only times needs the _fits guard: an int64 plus (np.minimum) stays in
+# its inputs' range.  Anything else runs the semiring's own functions.
 _KERNELS = {
     MIN_PLUS: (np.dtype(np.int64), np.minimum, _tropical_times),
     REAL: (np.dtype(np.float64), np.add, np.multiply),
@@ -424,13 +424,13 @@ def _combine(groups: _Groups, s: Semiring, plus: bool, data: DataMap) -> np.ndar
     ``s.times``), left to right; an empty group yields the all-identity
     row.  Step k of the loop combines the k-th member of every group
     that has one.  The semiring's array kernel runs when the table has
-    its dtype and, for int64, the overflow guard passes; otherwise the
-    semiring's own functions run on the values as Python objects."""
+    its dtype and, for an int64 fold, the overflow guard passes; otherwise
+    the semiring's own functions run on the values as Python objects."""
     array = data._values
     identity = s.zero if plus else s.one
     kernel = _KERNELS.get(s)
     if kernel is not None and kernel[0] == array.dtype and (
-            array.dtype != np.int64 or _fits(array, groups.largest)):
+            plus or array.dtype != np.int64 or _fits(array, groups.largest)):
         op = kernel[1] if plus else kernel[2]
         if identity is None:
             identity = _UNREACHABLE

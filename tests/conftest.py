@@ -1,10 +1,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from polyspan import GraphContext
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Every property test replays the same examples on every run and keeps
+# no example database; each test sets only its own max_examples.
+settings.register_profile("polyspan", derandomize=True, deadline=None, database=None)
+settings.load_profile("polyspan")
 
 
 @pytest.fixture

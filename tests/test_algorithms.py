@@ -10,6 +10,7 @@ from polyspan import (
     FoldStrategy,
     GraphContext,
     InputError,
+    SizeCapError,
     bellman_ford,
     bellman_ford_step,
     floyd_warshall,
@@ -93,6 +94,19 @@ class TestBellmanFord:
         for distances in ([0, 2], [0, 2, 7, 9]):
             with pytest.raises(CarrierMismatchError, match="expected 3 distance"):
                 make_state(g1, distances)
+
+    def test_make_state_checks_the_cap_before_building_its_column(self, monkeypatch):
+        class Unread:
+            # The right length, but reading it fails the test.
+            def __len__(self):
+                return 1234
+
+            def __iter__(self):
+                raise AssertionError("the column was built before the size cap")
+
+        monkeypatch.setattr("polyspan.carrier.SIZE_CAP", 1000)
+        with pytest.raises(SizeCapError, match="more than 1000 elements"):
+            make_state(GraphContext(1234, ()), Unread())
 
     def test_zero_weight_self_loop_is_inert(self, g1):
         looped = GraphContext(3, g1.edges + ((1, 1, 0),))

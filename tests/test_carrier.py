@@ -356,7 +356,7 @@ def proj_arrows(draw):
     return build_arrow(f"proj[{','.join(map(str, indices))}]", dom, cod, g), g, indices
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(proj_arrows())
 def test_proj_ranks_are_mixed_radix_ranks(case):
     arrow, g, indices = case

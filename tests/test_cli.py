@@ -7,11 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polyspan
-from polyspan import BELLMAN_FORD_SPEC, InputError
-from polyspan.carrier import MAX_NESTING
+from polyspan import BELLMAN_FORD_SPEC, GraphContext, InputError, cli
+from polyspan.carrier import MAX_NESTING, SIZE_CAP
 from polyspan.cli import deterministic_outputs, format_value, load_graph, run
 
 G1_TEXT = "3 3 directed\n0 1 2\n0 2 7\n1 2 3\n"
@@ -143,6 +144,31 @@ class TestVerbs:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(len(line.split()) == 4 for line in lines)
+
+    def test_floyd_warshall_checks_the_cap_before_the_matrix(self, tmp_path, monkeypatch):
+        # V^3 + V^3 on 200 nodes is over the cap; no n*n list is built first.
+        def unreachable(*args):
+            raise AssertionError("an n*n list was built before the size cap")
+
+        monkeypatch.setattr(cli, "_matrix_from_graph", unreachable)
+        monkeypatch.setattr(GraphContext, "fully_connected", unreachable)
+        p = tmp_path / "g.graph"
+        p.write_text("200 0\n")
+        code, out, err = invoke(["floyd-warshall", "--graph", str(p)])
+        assert (code, out) == (2, "")
+        assert f"more than {SIZE_CAP} elements for n=200, m=0" in err
+
+    def test_gnn_demo_checks_the_cap_before_the_features(self, tmp_path, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("features were drawn before the size cap")
+
+        monkeypatch.setattr("polyspan.carrier.SIZE_CAP", 1000)
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
+        p = tmp_path / "g.graph"
+        p.write_text("1234 0\n")  # 1 + V + E has 1235 elements
+        code, out, err = invoke(["gnn-demo", "--graph", str(p)])
+        assert (code, out) == (2, "")
+        assert "more than 1000 elements for n=1234, m=0" in err
 
     def test_out_flag_writes_file(self, g1_file, tmp_path):
         target = tmp_path / "result.txt"

@@ -239,16 +239,38 @@ class TestTripleLayerAsRelaxation:
         assert v3_fw_step(G1_MATRIX) == ((0, 2, 5), (None, 0, 3), (None, None, 0))
 
     def test_random_matrices(self):
+        # Equal in value and Python type, n = 0 included; two entries
+        # near 2^62 add up past int64, so those sweeps leave the int64
+        # kernels.
         import random
         r = random.Random(21)
-        for _ in range(15):
-            n = r.randrange(1, 6)
+        for case in range(100):
+            n = case % 6
+            big = case % 3 == 0
             d = tuple(
-                tuple(0 if i == j else (None if r.random() < 0.3 else r.randrange(0, 12))
+                tuple(0 if i == j else (None if r.random() < 0.3 else
+                                        r.randrange(2**62 - 8, 2**62 + 8) if big and r.random() < 0.5
+                                        else r.randrange(0, 12))
                       for j in range(n))
                 for i in range(n)
             )
-            assert v3_fw_step(d) == floyd_warshall_step(d)
+            got, want = v3_fw_step(d), floyd_warshall_step(d)
+            assert got == want
+            assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in want]
+
+    @pytest.mark.parametrize("d", [
+        ((0, -1), (None, 0)),
+        ((0, 1.5), (None, 0)),
+        ((0, True), (None, 0)),
+        ((1, None), (None, 0)),
+        ((0, 1), (0,)),
+    ], ids=["negative", "float", "bool", "diagonal", "ragged"])
+    def test_rejects_what_floyd_warshall_step_rejects(self, d):
+        with pytest.raises(InputError) as want:
+            floyd_warshall_step(d)
+        with pytest.raises(InputError) as got:
+            v3_fw_step(d)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 class TestPathology:

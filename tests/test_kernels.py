@@ -84,7 +84,7 @@ def spans(draw):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_stages_equal_a_per_group_left_fold(case, data):
     s, values = CASES[case]
@@ -117,7 +117,7 @@ FOLD_VALUES = {
 
 
 @pytest.mark.parametrize("case", sorted(FOLD_VALUES))
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_learned_folds_get_each_fiber_as_an_array(case, data):
     span = data.draw(spans())
@@ -160,7 +160,18 @@ def test_learned_fold_of_numpy_floats_gives_python_floats(g1):
     assert exact(out.rows) == exact(((0.0,), (4.0,), (20.0,)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_min_plus_reduce_near_2_62_stays_int64(g1):
+    # A minimum never leaves the range of its inputs, so the reduce of
+    # values whose sum would pass int64 still runs the int64 kernel.
+    span = PolynomialSpan.from_spec(
+        {"W": "E", "X": "E", "Y": "E", "Z": "1", "i": "id", "p": "id", "o": "bang"}, g1)
+    rows = ((2**62 + 5,), (None,), (2**62 + 1,))
+    out = message_pushforward(span, MIN_PLUS, DataMap(span.messages, 1, rows))
+    assert out._values.dtype == np.int64
+    assert exact(out.rows) == exact(((2**62 + 1,),))
+
+
+@settings(max_examples=60)
 @given(n=st.integers(1, 6), data=st.data())
 @example(n=5, data=None)  # a path whose last distance, 2^63, is past int64
 def test_bellman_ford_near_2_61_equals_the_oracle(n, data):
@@ -182,7 +193,7 @@ def _chain_matrix(n, w):
     return tuple(tuple(0 if i == j else (w if j == i + 1 else None) for j in range(n)) for i in range(n))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(n=st.integers(1, 6), data=st.data())
 # A 2^59 chain: the first sweep fits int64, the second misses the guard.
 @example(n=5, data=_chain_matrix(5, 2**59))

@@ -5,6 +5,7 @@ as the worked example; every intermediate table below was computed by
 hand from the wiring.
 """
 
+import numpy as np
 import pytest
 
 from polyspan import (
@@ -27,9 +28,12 @@ from polyspan import (
     message_pushforward,
     parse_carrier,
     pullback,
+    v3_span,
     validate_span,
 )
 from polyspan.algebra import Bag
+from polyspan.algorithms import FLOYD_WARSHALL_SPEC
+from polyspan.gnn import V3_SPEC
 
 IDENTITY_SPEC = {"W": "V", "X": "V", "Y": "V", "Z": "V", "i": "id", "p": "id", "o": "id"}
 
@@ -185,6 +189,21 @@ class TestCompiledTables:
         assert t.buckets == tuple(
             tuple(i * 9 + k * 3 + j for k in range(3)) for i in range(3) for j in range(3)
         )
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("builder, spec", [
+        (floyd_warshall_span, FLOYD_WARSHALL_SPEC),
+        (v3_span, V3_SPEC),
+    ], ids=["floyd-warshall", "v3"])
+    def test_all_pairs_spans_on_n_nodes_match_the_complete_graph(self, builder, spec, n):
+        # Only powers of V and edge-blind arrows: the n*n edges change no table.
+        t = builder(n).compiled()
+        full = PolynomialSpan.from_spec(spec, GraphContext.fully_connected(n)).compiled()
+        assert builder(n).graph == GraphContext(n)
+        assert np.array_equal(t.input_image, full.input_image)
+        for got, want in ((t.fiber_groups, full.fiber_groups), (t.bucket_groups, full.bucket_groups)):
+            for name in ("order", "starts", "sizes"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestEdgeShapes:
