@@ -67,7 +67,6 @@ from .span import (
     message_preimage_bags,
     message_pushforward,
     pullback,
-    validate_span,
 )
 
 __version__ = "0.1.0"
@@ -85,5 +84,5 @@ __all__ = [
     "integral_transform", "law_samples", "load_span_file", "message_preimage_bags",
     "message_pushforward", "mpnn_forward", "mpnn_span", "parse_carrier",
     "preimage", "pullback", "rank", "size", "v2_forward", "v3_forward", "v3_span",
-    "validate_span", "values_close",
+    "values_close",
 ]

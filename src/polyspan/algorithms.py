@@ -131,6 +131,7 @@ def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
     Runs until fixpoint or n - 1 sweeps, whichever comes first; the
     distances are decoded once, at the end.
     """
+    bellman_ford_span(graph)  # the size cap, before any n-sized list
     check_tropical_weights(graph)
     state = make_state(graph, initial_distances(graph, source))
     dist = _relax(lambda s: bellman_ford_step(graph, s), state, graph.n, max(graph.n - 1, 0))

@@ -32,7 +32,6 @@ in a chain, or directly under a dispatch branch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping
 
@@ -61,9 +60,6 @@ MAX_EXPONENT = SIZE_CAP.bit_length()
 # checked before a sum or product is built, since each factor of a
 # product of sums can double the count.
 MAX_TERMS = 1024
-
-# Entries kept by the carrier-index cache; a span holds four indexes.
-INDEX_CACHE_SIZE = 256
 
 
 def _is_int(x) -> bool:
@@ -377,8 +373,9 @@ class CarrierIndex:
         return self.offsets[e.term_index] + rel
 
 
-@lru_cache(maxsize=INDEX_CACHE_SIZE)
 def carrier_index(carrier: Carrier, graph: GraphContext) -> CarrierIndex:
+    """A fresh index of the carrier on the graph.  A function of its own
+    so that spanbench's tracer can wrap every lookup by name."""
     return CarrierIndex(carrier, graph)
 
 

@@ -33,7 +33,8 @@ class CarrierMismatchError(PolyspanError):
 
 
 class SpanValidationError(PolyspanError):
-    """A span's arrows do not match its declared carriers."""
+    """A span's arrows do not match its declared carriers; raised when
+    the span is constructed."""
 
 
 class StrategyError(PolyspanError):

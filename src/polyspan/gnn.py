@@ -95,8 +95,8 @@ def naive_edge_update_span(n: int) -> PolynomialSpan:
     """The tempting one-span version of the pair layer, which wants each
     pair message delivered to both its target node and its own edge
     slot.  No single arrow can duplicate a message, so the closest
-    expressible output map targets nodes only and the span fails
-    validation against the declared output carrier.  Use two spans
+    expressible output map targets nodes only, and constructing the span
+    raises SpanValidationError naming ``o: codomain``.  Use two spans
     sharing the message table instead (see v2_forward)."""
     graph = GraphContext.fully_connected(n)
     spec = dict(MPNN_SPEC)

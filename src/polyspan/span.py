@@ -248,12 +248,6 @@ class FoldStrategy:
         return FoldStrategy("learned", dict(folds), width)
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    issues: list[str]
-
-
 class _Groups:
     """The domain ranks that a rank map sends to each codomain rank
     below ``count``.
@@ -312,11 +306,24 @@ class _Tables:
 
 
 class PolynomialSpan:
-    """Four carriers wired by input/process/output maps, bound to a graph."""
+    """Four carriers wired by input/process/output maps, bound to a graph;
+    ill-typed wiring raises SpanValidationError on construction."""
 
     def __init__(self, graph: GraphContext, inputs: Carrier, arguments: Carrier,
                  messages: Carrier, outputs: Carrier,
                  input_map: Arrow, process_map: Arrow, output_map: Arrow):
+        issues = []
+        for name, arrow, dom, cod in (
+            ("i", input_map, arguments, inputs),
+            ("p", process_map, arguments, messages),
+            ("o", output_map, messages, outputs),
+        ):
+            if arrow.domain != dom:
+                issues.append(f"{name}: domain {arrow.domain} does not match {dom}")
+            if arrow.codomain != cod:
+                issues.append(f"{name}: codomain {arrow.codomain} does not match {cod}")
+        if issues:
+            raise SpanValidationError("; ".join(issues))
         self.graph = graph
         self.inputs = inputs
         self.arguments = arguments
@@ -346,29 +353,8 @@ class PolynomialSpan:
         o = build_arrow(spec["o"], y, z, graph, label="o")
         return cls(graph, w, x, y, z, i, p, o)
 
-    def validate(self) -> ValidationReport:
-        issues = []
-        for name, arrow, dom, cod in (
-            ("i", self.input_map, self.arguments, self.inputs),
-            ("p", self.process_map, self.arguments, self.messages),
-            ("o", self.output_map, self.messages, self.outputs),
-        ):
-            if arrow.domain != dom:
-                issues.append(f"{name}: domain {arrow.domain} does not match {dom}")
-            if arrow.codomain != cod:
-                issues.append(f"{name}: codomain {arrow.codomain} does not match {cod}")
-        try:
-            for c in (self.inputs, self.arguments, self.messages, self.outputs):
-                carrier_index(c, self.graph)
-        except PolyspanError as exc:
-            issues.append(str(exc))
-        return ValidationReport(not issues, issues)
-
     def compiled(self) -> _Tables:
         if self._tables is None:
-            report = self.validate()
-            if not report.ok:
-                raise SpanValidationError("; ".join(report.issues))
             self._tables = _Tables(self)
         return self._tables
 
@@ -390,11 +376,6 @@ class PolynomialSpan:
             f"PolynomialSpan({self.inputs} <- {self.arguments} -> "
             f"{self.messages} -> {self.outputs})"
         )
-
-
-def validate_span(span: PolynomialSpan) -> ValidationReport:
-    """Report whether the span's arrows match its declared carriers."""
-    return span.validate()
 
 
 def load_span_file(path) -> dict:

@@ -1,6 +1,8 @@
 """Relaxation drivers against hand-worked values and plain oracles."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -107,6 +109,15 @@ class TestBellmanFord:
         monkeypatch.setattr("polyspan.carrier.SIZE_CAP", 1000)
         with pytest.raises(SizeCapError, match="more than 1000 elements"):
             make_state(GraphContext(1234, ()), Unread())
+
+    def test_bellman_ford_checks_the_cap_before_building_its_distances(self, monkeypatch):
+        def unbuilt(graph, source):
+            raise AssertionError("the distances were built before the size cap")
+
+        monkeypatch.setattr("polyspan.carrier.SIZE_CAP", 1000)
+        monkeypatch.setattr(algorithms, "initial_distances", unbuilt)
+        with pytest.raises(SizeCapError, match="more than 1000 elements"):
+            bellman_ford(GraphContext(1236, ()), 0)
 
     def test_zero_weight_self_loop_is_inert(self, g1):
         looped = GraphContext(3, g1.edges + ((1, 1, 0),))
@@ -248,14 +259,18 @@ class TestFloydWarshall:
 
 def test_span_and_index_caches_are_bounded():
     from polyspan import gnn
-    from polyspan.carrier import INDEX_CACHE_SIZE, carrier_index
     from polyspan.span import SPAN_CACHE_SIZE
 
     for builder in (bellman_ford_span, algorithms.floyd_warshall_span, gnn.mpnn_span, gnn.v3_span):
         assert builder.cache_info().maxsize == SPAN_CACHE_SIZE
-    assert carrier_index.cache_info().maxsize == INDEX_CACHE_SIZE
     bellman_ford_span.cache_clear()
+    graphs = []
     for n in range(1, SPAN_CACHE_SIZE + 6):
-        assert bellman_ford(GraphContext(n, ()), 0) == [0] + [None] * (n - 1)
+        graph = GraphContext(n, ())
+        graphs.append(weakref.ref(graph))
+        assert bellman_ford(graph, 0) == [0] + [None] * (n - 1)
+    del graph
     assert bellman_ford_span.cache_info().currsize == SPAN_CACHE_SIZE
-    assert carrier_index.cache_info().currsize <= INDEX_CACHE_SIZE
+    # Nothing but the span cache may keep a graph alive.
+    gc.collect()
+    assert sum(ref() is not None for ref in graphs) <= SPAN_CACHE_SIZE

@@ -18,9 +18,11 @@ from polyspan import (
     PolynomialSpan,
     PolyspanError,
     REAL,
+    SpanValidationError,
     StrategyError,
     argument_fiber_rows,
     argument_pushforward,
+    build_arrow,
     floyd_warshall_span,
     integral_transform,
     load_span_file,
@@ -29,7 +31,6 @@ from polyspan import (
     parse_carrier,
     pullback,
     v3_span,
-    validate_span,
 )
 from polyspan.algebra import Bag
 from polyspan.algorithms import FLOYD_WARSHALL_SPEC
@@ -69,7 +70,6 @@ class TestDataMap:
 class TestConstruction:
     def test_identity_span_roundtrip(self, g1):
         span = PolynomialSpan.from_spec(IDENTITY_SPEC, g1)
-        assert validate_span(span).ok
         table = DataMap(parse_carrier("V"), 1, ((1,), (2,), (3,)))
         out = integral_transform(span, MIN_PLUS, FoldStrategy.semiring(), table)
         assert out.rows == ((1,), (2,), (3,))
@@ -97,10 +97,20 @@ class TestConstruction:
         from_file = PolynomialSpan.from_spec(load_span_file(fixtures_dir / "bellman_ford.span"), g1)
         assert from_file == bf_span(g1)
 
-    def test_validate_reports_issues(self, g1):
-        span = bf_span(g1)
-        report = validate_span(span)
-        assert report.ok and report.issues == []
+    @pytest.mark.parametrize("name", ["i", "p", "o"])
+    @pytest.mark.parametrize("side", ["domain", "codomain"])
+    def test_mis_wired_span_cannot_be_constructed(self, g1, name, side):
+        base = PolynomialSpan.from_spec(IDENTITY_SPEC, g1)
+        v, e, one = parse_carrier("V"), parse_carrier("E"), parse_carrier("1")
+        arrows = {"i": base.input_map, "p": base.process_map, "o": base.output_map}
+        # Each arrow of the identity span runs V -> V; swap one for an
+        # arrow that differs from it on exactly one side.
+        arrows[name] = (build_arrow("src", e, v, g1) if side == "domain"
+                        else build_arrow("bang", v, one, g1))
+        wrong = "E" if side == "domain" else "1"
+        with pytest.raises(SpanValidationError) as info:
+            PolynomialSpan(g1, v, v, v, v, arrows["i"], arrows["p"], arrows["o"])
+        assert str(info.value) == f"{name}: {side} {wrong} does not match V"
 
 
 class TestStages:
