@@ -87,15 +87,31 @@ def check_tropical_weights(graph: GraphContext):
             raise InputError(f"edge {k}: negative weight {w}")
 
 
+@lru_cache(maxsize=SPAN_CACHE_SIZE)
+def _fixed_block(graph: GraphContext) -> np.ndarray:
+    """The rows below the distances in every sweep's input, once per
+    graph: the zero bias and the checked weights, encoded."""
+    bellman_ford_span(graph)  # the size cap, before the n + m column
+    check_tropical_weights(graph)
+    block = _encode([*[MIN_PLUS.one] * graph.n, *(w for (_, _, w) in graph.edges)], 1)
+    block.flags.writeable = False  # shared by every query on the graph
+    return block
+
+
 def make_state(graph: GraphContext, distances: Sequence[Value]) -> DataMap:
     """The input table of one relaxation sweep: the distance vector, the
     standard zero bias and the graph's weights, stacked on the span's
-    input carrier."""
+    input carrier.  The weights are checked, and the bias and weights
+    encoded, once per graph; only the distances are encoded per call."""
     if len(distances) != graph.n:
         raise CarrierMismatchError(f"expected {graph.n} distance(s), got {len(distances)}")
-    span = bellman_ford_span(graph)  # the size cap, before the 2n + m column
-    column = [*distances, *[MIN_PLUS.one] * graph.n, *(w for (_, _, w) in graph.edges)]
-    return DataMap._built(span.inputs, _encode(column, 1))
+    block = _fixed_block(graph)
+    head = _encode(distances, 1)
+    if head.dtype != block.dtype:
+        # Python objects, as one encoding of the whole column would hold.
+        head = np.fromiter(distances, dtype=object, count=graph.n).reshape(-1, 1)
+        block = _as_object(block)
+    return DataMap._built(bellman_ford_span(graph).inputs, np.concatenate((head, block)))
 
 
 def initial_distances(graph: GraphContext, source: int) -> list[Value]:
@@ -131,8 +147,7 @@ def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
     Runs until fixpoint or n - 1 sweeps, whichever comes first; the
     distances are decoded once, at the end.
     """
-    bellman_ford_span(graph)  # the size cap, before any n-sized list
-    check_tropical_weights(graph)
+    _fixed_block(graph)  # the size cap and the weights, before any n-sized list
     state = make_state(graph, initial_distances(graph, source))
     dist = _relax(lambda s: bellman_ford_step(graph, s), state, graph.n, max(graph.n - 1, 0))
     return _as_object(dist[:, 0]).tolist()

@@ -40,8 +40,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_graph(path) -> GraphContext:
-    """Read a graph file; negative weights are rejected up front."""
+def read_graph(path) -> tuple[int, list, str]:
+    """Read a graph file as (n, edges, mode), edges in file order;
+    negative weights are rejected up front."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.read().splitlines()
@@ -89,7 +90,12 @@ def load_graph(path) -> GraphContext:
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"{path}:{line_no}: endpoints ({u}, {v}) out of range for n={n}")
         edges.append((u, v, w))
+    return n, edges, mode
 
+
+def load_graph(path) -> GraphContext:
+    """Read a graph file and bind it as a graph."""
+    n, edges, mode = read_graph(path)
     if mode == "full":
         weights: dict = {}
         for (u, v, w) in edges:  # parallel entries collapse to the cheapest
@@ -167,20 +173,22 @@ def _cmd_bellman_ford(ns) -> tuple[str, int]:
     return "".join(f"{u} {format_value(d)}\n" for u, d in enumerate(dist)), 0
 
 
-def _matrix_from_graph(g: GraphContext):
-    d = [[0 if i == j else None for j in range(g.n)] for i in range(g.n)]
-    for (u, v, w) in g.edges:
+def _matrix_from_edges(n: int, edges):
+    """The zero-diagonal weight matrix of a graph file in either mode:
+    parallel edges collapse to the cheapest, and self-loops are dropped."""
+    d = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    for (u, v, w) in edges:
         if u != v:
-            d[u][v] = algorithms.tropical_min(d[u][v], w)
+            d[u][v] = tropical_min(d[u][v], w)
     return tuple(tuple(row) for row in d)
 
 
 def _cmd_floyd_warshall(ns) -> tuple[str, int]:
     if ns.semiring != "min-plus":
         raise UsageError("floyd-warshall runs over min-plus only")
-    g = load_graph(ns.graph)
-    algorithms.floyd_warshall_span(g.n)  # the size cap, before the n*n matrix
-    out = algorithms.floyd_warshall(_matrix_from_graph(g))
+    n, edges, _ = read_graph(ns.graph)  # no graph: full mode would list n*n edges
+    algorithms.floyd_warshall_span(n)  # the size cap, before the n*n matrix
+    out = algorithms.floyd_warshall(_matrix_from_edges(n, edges))
     return "".join(" ".join(format_value(v) for v in row) + "\n" for row in out), 0
 
 

@@ -24,7 +24,9 @@ of the middle stages are available via ``argument_fiber_rows`` and
 Compiling a span turns its three arrows into index arrays: the input
 map's rank map, and the process and output maps grouped into fibers and
 buckets.  The stages then run as array operations: pullback is an
-array take, and a semiring fold or reduce is one positional loop whose
+array take; a fold or reduce whose kernel op is order-free (min-plus
+``plus``, and boolean ``plus`` and ``times``) is one ``ufunc.reduceat``
+over the groups; any other fold or reduce is one positional loop whose
 step k combines the k-th member of every group that has one, which is
 the same left-to-right order as a per-group loop.  A table is one
 array whose dtype is its encoding (see ``_encode`` for the exactness
@@ -137,6 +139,11 @@ _KERNELS = {
     MAX_PLUS: (np.dtype(np.float64), _first_max, np.add),
     BOOLEAN: (np.dtype(np.bool_), np.logical_or, np.logical_and),
 }
+
+# Kernel ops whose result does not depend on the order of a group's
+# members, so one reduceat may combine them in any order.  Float sums,
+# _first_max and the int64 times are order-sensitive or not ufuncs.
+_ORDER_FREE = (np.minimum, np.logical_or, np.logical_and)
 
 
 class DataMap:
@@ -403,10 +410,12 @@ def _require_on(data: DataMap, index: CarrierIndex, stage: str):
 def _combine(groups: _Groups, s: Semiring, plus: bool, data: DataMap) -> np.ndarray:
     """Combine the rows of each group componentwise with ``s.plus`` (or
     ``s.times``), left to right; an empty group yields the all-identity
-    row.  Step k of the loop combines the k-th member of every group
-    that has one.  The semiring's array kernel runs when the table has
-    its dtype and, for an int64 fold, the overflow guard passes; otherwise
-    the semiring's own functions run on the values as Python objects."""
+    row.  The semiring's array kernel runs when the table has its dtype
+    and, for an int64 fold, the overflow guard passes; otherwise the
+    semiring's own functions run on the values as Python objects.  An
+    order-free kernel op combines every nonempty group in one reduceat;
+    any other op runs the positional loop, whose step k combines the
+    k-th member of every group that has one."""
     array = data._values
     identity = s.zero if plus else s.one
     kernel = _KERNELS.get(s)
@@ -418,6 +427,11 @@ def _combine(groups: _Groups, s: Semiring, plus: bool, data: DataMap) -> np.ndar
     else:
         array = _as_object(array)
         op = np.frompyfunc(s.plus if plus else s.times, 2, 1)
+    if op in _ORDER_FREE:
+        nonempty = groups.sizes > 0
+        out = np.full((groups.count, data.width), identity, dtype=array.dtype)
+        out[nonempty] = op.reduceat(array[groups.order], groups.starts[nonempty], axis=0)
+        return out
     acc = np.empty((groups.count, data.width), dtype=array.dtype)
     steps = groups.steps
     head = len(steps[0]) if steps else 0

@@ -110,6 +110,30 @@ class TestBellmanFord:
         with pytest.raises(SizeCapError, match="more than 1000 elements"):
             make_state(GraphContext(1234, ()), Unread())
 
+    def test_weights_are_checked_once_per_graph(self, monkeypatch):
+        check, calls = algorithms.check_tropical_weights, []
+
+        def counting_check(graph):
+            calls.append(graph)
+            check(graph)
+
+        monkeypatch.setattr(algorithms, "check_tropical_weights", counting_check)
+        algorithms._fixed_block.cache_clear()
+        g = GraphContext(3, ((0, 1, 2), (0, 2, 7), (1, 2, 3), (2, 0, 4)))
+        assert bellman_ford(g, 0) == [0, 2, 5]
+        assert bellman_ford(g, 1) == [7, 0, 3]
+        assert make_state(g, [0, 2, 5]).rows == ((0,), (2,), (5,), (0,), (0,), (0,), (2,), (7,), (3,), (4,))
+        assert calls == [g]
+
+    @pytest.mark.parametrize("weight, message", [
+        (-1, "edge 1: negative weight -1"),
+        (True, "edge 1: weight True is not a tropical natural"),
+    ])
+    def test_make_state_checks_the_weights(self, weight, message):
+        g = GraphContext(2, ((0, 1, 3), (1, 0, weight)))
+        with pytest.raises(InputError, match=message):
+            make_state(g, [0, None])
+
     def test_bellman_ford_checks_the_cap_before_building_its_distances(self, monkeypatch):
         def unbuilt(graph, source):
             raise AssertionError("the distances were built before the size cap")
@@ -261,9 +285,12 @@ def test_span_and_index_caches_are_bounded():
     from polyspan import gnn
     from polyspan.span import SPAN_CACHE_SIZE
 
-    for builder in (bellman_ford_span, algorithms.floyd_warshall_span, gnn.mpnn_span, gnn.v3_span):
+    fixed_block = algorithms._fixed_block
+    for builder in (bellman_ford_span, fixed_block, algorithms.floyd_warshall_span,
+                    gnn.mpnn_span, gnn.v3_span):
         assert builder.cache_info().maxsize == SPAN_CACHE_SIZE
     bellman_ford_span.cache_clear()
+    fixed_block.cache_clear()
     graphs = []
     for n in range(1, SPAN_CACHE_SIZE + 6):
         graph = GraphContext(n, ())
@@ -271,6 +298,7 @@ def test_span_and_index_caches_are_bounded():
         assert bellman_ford(graph, 0) == [0] + [None] * (n - 1)
     del graph
     assert bellman_ford_span.cache_info().currsize == SPAN_CACHE_SIZE
-    # Nothing but the span cache may keep a graph alive.
+    assert fixed_block.cache_info().currsize == SPAN_CACHE_SIZE
+    # Nothing but the span and fixed-block caches may keep a graph alive.
     gc.collect()
     assert sum(ref() is not None for ref in graphs) <= SPAN_CACHE_SIZE

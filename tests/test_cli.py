@@ -150,13 +150,14 @@ class TestVerbs:
         def unreachable(*args):
             raise AssertionError("an n*n list was built before the size cap")
 
-        monkeypatch.setattr(cli, "_matrix_from_graph", unreachable)
+        monkeypatch.setattr(cli, "_matrix_from_edges", unreachable)
         monkeypatch.setattr(GraphContext, "fully_connected", unreachable)
         p = tmp_path / "g.graph"
-        p.write_text("200 0\n")
-        code, out, err = invoke(["floyd-warshall", "--graph", str(p)])
-        assert (code, out) == (2, "")
-        assert f"more than {SIZE_CAP} elements for n=200, m=0" in err
+        for header in ("200 0\n", "200 0 full\n"):  # full mode would list n*n edges
+            p.write_text(header)
+            code, out, err = invoke(["floyd-warshall", "--graph", str(p)])
+            assert (code, out) == (2, "")
+            assert f"more than {SIZE_CAP} elements for n=200, m=0" in err
 
     def test_gnn_demo_checks_the_cap_before_the_features(self, tmp_path, monkeypatch):
         def unreachable(*args):
