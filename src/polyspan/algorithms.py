@@ -88,13 +88,25 @@ def check_tropical_weights(graph: GraphContext):
 
 
 @lru_cache(maxsize=SPAN_CACHE_SIZE)
-def _fixed_block(graph: GraphContext) -> np.ndarray:
+def _fixed_block(graph: GraphContext) -> tuple[GraphContext, np.ndarray]:
     """The rows below the distances in every sweep's input, once per
-    graph: the zero bias and the checked weights, encoded."""
+    graph: the zero bias and the checked weights, encoded; with the
+    graph whose weights were checked."""
     bellman_ford_span(graph)  # the size cap, before the n + m column
     check_tropical_weights(graph)
     block = _encode([*[MIN_PLUS.one] * graph.n, *(w for (_, _, w) in graph.edges)], 1)
     block.flags.writeable = False  # shared by every query on the graph
+    return graph, block
+
+
+def _checked_block(graph: GraphContext) -> np.ndarray:
+    """The fixed block of graph, its weights checked.  The cache matches
+    graphs by value, and a weight of 1 equals True, 1.0 and np.int64(1),
+    so a graph other than the one checked is checked itself; once it
+    passes, its weights are the same ints and the block is its own."""
+    checked, block = _fixed_block(graph)
+    if checked is not graph:
+        check_tropical_weights(graph)
     return block
 
 
@@ -105,7 +117,7 @@ def make_state(graph: GraphContext, distances: Sequence[Value]) -> DataMap:
     encoded, once per graph; only the distances are encoded per call."""
     if len(distances) != graph.n:
         raise CarrierMismatchError(f"expected {graph.n} distance(s), got {len(distances)}")
-    block = _fixed_block(graph)
+    block = _checked_block(graph)
     head = _encode(distances, 1)
     if head.dtype != block.dtype:
         # Python objects, as one encoding of the whole column would hold.
@@ -147,7 +159,7 @@ def bellman_ford(graph: GraphContext, source: int) -> list[Value]:
     Runs until fixpoint or n - 1 sweeps, whichever comes first; the
     distances are decoded once, at the end.
     """
-    _fixed_block(graph)  # the size cap and the weights, before any n-sized list
+    _checked_block(graph)  # the size cap and the weights, before any n-sized list
     state = make_state(graph, initial_distances(graph, source))
     dist = _relax(lambda s: bellman_ford_step(graph, s), state, graph.n, max(graph.n - 1, 0))
     return _as_object(dist[:, 0]).tolist()

@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from polyspan import (
@@ -132,6 +133,18 @@ class TestBellmanFord:
     def test_make_state_checks_the_weights(self, weight, message):
         g = GraphContext(2, ((0, 1, 3), (1, 0, weight)))
         with pytest.raises(InputError, match=message):
+            make_state(g, [0, None])
+
+    @pytest.mark.parametrize("weight", [True, 1.0, np.int64(1)])
+    def test_an_equal_graph_is_checked_itself(self, weight):
+        # A weight of 1 equals True, 1.0 and np.int64(1), so these graphs
+        # equal the checked one and share its cache entry.
+        algorithms._fixed_block.cache_clear()
+        assert bellman_ford(GraphContext(2, ((0, 1, 1),)), 0) == [0, 1]
+        g = GraphContext(2, ((0, 1, weight),))
+        with pytest.raises(InputError, match="edge 0: weight .* is not a tropical natural"):
+            bellman_ford(g, 0)
+        with pytest.raises(InputError, match="edge 0: weight .* is not a tropical natural"):
             make_state(g, [0, None])
 
     def test_bellman_ford_checks_the_cap_before_building_its_distances(self, monkeypatch):

@@ -41,21 +41,20 @@ SPECS = [
     BELLMAN_FORD_SPEC,
 ]
 
-# Per case: the semiring, the values its tables draw from, and a few of
-# those values that the explicit examples cycle through.  Around 2^62 a
-# fold of two values crosses int64; past 2^63 a value alone does.
+# Per case: the semiring and the values its tables draw from.  Around
+# 2^62 a fold of two values crosses int64; past 2^63 a value alone does.
 CASES = {
-    "min-plus": (MIN_PLUS, st.none() | st.integers(-100, 100), [3, None, -7]),
+    "min-plus": (MIN_PLUS, st.none() | st.integers(-100, 100)),
     "min-plus-2^62": (MIN_PLUS, st.none() | st.integers(2**62 - 64, 2**62 + 64)
-                      | st.integers(0, 100), [2**62 + 5, None, 2**62 - 3, 7]),
+                      | st.integers(0, 100)),
     "min-plus-2^63": (MIN_PLUS, st.none() | st.integers(2**63 - 64, 2**63 + 64)
-                      | st.integers(-2**63 - 64, -2**63 + 64), [2**63 + 1, None, -2**63 - 3]),
-    "min-plus-bools": (MIN_PLUS, st.none() | st.booleans() | st.integers(0, 5), [True, None, 3]),
-    "real": (REAL, st.floats(), [0.5, -0.0, float("nan")]),
-    "real-ints": (REAL, st.integers(-10, 10), [3, -2]),
-    "max-plus": (MAX_PLUS, st.floats() | st.sampled_from([0.0, -0.0]), [-0.0, 0.0, 1.5]),
-    "bool": (BOOLEAN, st.booleans(), [True, False, False]),
-    "broken": (broken_semiring(), st.floats(), [1.5, -2.0]),
+                      | st.integers(-2**63 - 64, -2**63 + 64)),
+    "min-plus-bools": (MIN_PLUS, st.none() | st.booleans() | st.integers(0, 5)),
+    "real": (REAL, st.floats()),
+    "real-ints": (REAL, st.integers(-10, 10)),
+    "max-plus": (MAX_PLUS, st.floats() | st.sampled_from([0.0, -0.0])),
+    "bool": (BOOLEAN, st.booleans()),
+    "broken": (broken_semiring(), st.floats()),
 }
 
 
@@ -86,28 +85,8 @@ def spans(draw):
     return PolynomialSpan.from_spec(draw(st.sampled_from(SPECS)), GraphContext(n, tuple(edges)))
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-@settings(max_examples=60)
-@given(data=st.data())
-# Explicit (spec, graph, width) cases, whatever is drawn: two-column
-# tables with empty buckets, and zero-row argument and message tables
-# (X = E on an edgeless graph), in every case, so also near 2^62.
-@example(data=(SPECS[1], GraphContext(3, ((0, 1, None), (2, 1, None))), 2))
-@example(data=(SPECS[0], GraphContext(2, ()), 2))
-@example(data=(SPECS[1], GraphContext(2, ()), 2))
-def test_stages_equal_a_per_group_left_fold(case, data):
-    s, values, fixed = CASES[case]
-    if isinstance(data, tuple):
-        spec, g, width = data
-        span = PolynomialSpan.from_spec(spec, g)
-        flat = list(islice(cycle(fixed), carrier_index(span.inputs, g).size * width))
-        rows = [tuple(flat[k:k + width]) for k in range(0, len(flat), width)]
-    else:
-        span = data.draw(spans())
-        g = span.graph
-        width = data.draw(st.integers(1, 2))
-        count = carrier_index(span.inputs, g).size
-        rows = data.draw(st.lists(st.tuples(*[values] * width), min_size=count, max_size=count))
+def assert_stages_equal_a_per_group_left_fold(s, span, width, rows):
+    g = span.graph
     table = DataMap(span.inputs, width, rows)
 
     pulled = [rows[w] for w in span.input_map.node.ranks(g)]
@@ -120,6 +99,48 @@ def test_stages_equal_a_per_group_left_fold(case, data):
     assert exact(folded.rows) == exact(messages)
     assert exact(message_pushforward(span, s, folded).rows) == exact(outputs)
     assert exact(integral_transform(span, s, FoldStrategy.semiring(), table).rows) == exact(outputs)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_stages_equal_a_per_group_left_fold(case, data):
+    s, values = CASES[case]
+    span = data.draw(spans())
+    width = data.draw(st.integers(1, 2))
+    count = carrier_index(span.inputs, span.graph).size
+    rows = data.draw(st.lists(st.tuples(*[values] * width), min_size=count, max_size=count))
+    assert_stages_equal_a_per_group_left_fold(s, span, width, rows)
+
+
+# Per case, a few of its values, cycled through the rows of fixed tables.
+FIXED_VALUES = {
+    "min-plus": [3, None, -7],
+    "min-plus-2^62": [2**62 + 5, None, 2**62 - 3, 7],
+    "min-plus-2^63": [2**63 + 1, None, -2**63 - 3],
+    "min-plus-bools": [True, None, 3],
+    "real": [0.5, -0.0, float("nan")],
+    "real-ints": [3, -2],
+    "max-plus": [-0.0, 0.0, 1.5],
+    "bool": [True, False, False],
+    "broken": [1.5, -2.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("spec, g", [
+    # Width-2 tables with empty buckets.
+    (SPECS[1], GraphContext(3, ((0, 1, None), (2, 1, None)))),
+    # On an edgeless graph, a zero-row argument table (X = E) whose
+    # fibers are all empty, and zero-row argument and message tables.
+    (SPECS[0], GraphContext(2, ())),
+    (SPECS[1], GraphContext(2, ())),
+])
+def test_stages_equal_a_per_group_left_fold_on_fixed_tables(case, spec, g):
+    span = PolynomialSpan.from_spec(spec, g)
+    flat = list(islice(cycle(FIXED_VALUES[case]), carrier_index(span.inputs, g).size * 2))
+    rows = [tuple(flat[k:k + 2]) for k in range(0, len(flat), 2)]
+    assert_stages_equal_a_per_group_left_fold(CASES[case][0], span, 2, rows)
 
 
 @pytest.mark.parametrize("s, value, loops", [
